@@ -6,13 +6,7 @@
 #include <memory>
 #include <thread>
 
-#include "app/kv_store.hpp"
-#include "chaos/history.hpp"
-#include "chaos/shard_trial.hpp"
-#include "harness/scenario.hpp"
-#include "obs/export.hpp"
 #include "sim/parallel/steal_pool.hpp"
-#include "util/assert.hpp"
 
 namespace vdep::chaos {
 
@@ -26,221 +20,7 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
-// Replica indexes the schedule removes for good: node kills, and crashed
-// processes whose restart was dropped (by the shrinker).
-std::set<int> permanently_lost(const net::FaultPlan& plan,
-                               const harness::Scenario& scenario) {
-  std::set<int> lost;
-  const int replicas = scenario.config().replicas;
-  for (int r = 0; r < replicas; ++r) {
-    bool down = false;
-    for (const auto& a : plan.actions()) {  // actions are in schedule order
-      if (a.kind == net::FaultAction::Kind::kCrashNode &&
-          a.node == scenario.replica_host(r)) {
-        down = true;
-      }
-      if (a.kind == net::FaultAction::Kind::kRestoreNode &&
-          a.node == scenario.replica_host(r)) {
-        down = false;  // host back up, but its processes stay dead
-      }
-      if (a.kind == net::FaultAction::Kind::kCrashProcess &&
-          a.pid == scenario.replica_pid(r)) {
-        down = true;
-      }
-      if (a.kind == net::FaultAction::Kind::kRestartProcess &&
-          a.pid == scenario.replica_pid(r)) {
-        down = false;
-      }
-    }
-    if (down) lost.insert(r);
-  }
-  return lost;
-}
-
-// Mutable state shared between the scenario hooks and the trial driver.
-struct TrialContext {
-  sim::Kernel* kernel = nullptr;
-  sim::TraceRecorder trace;
-  std::vector<TrialObservation::CheckpointEvent> checkpoints;
-  std::vector<std::uint64_t> incarnations;  // per replica, bumped per rebuild
-};
-
 }  // namespace
-
-TrialResult run_trial(const TrialConfig& config) {
-  // The schedule derives from the trial seed through its own stream, fully
-  // decoupled from the simulation's randomness.
-  return run_trial(config, net::FaultPlan{});
-}
-
-TrialResult run_trial(const TrialConfig& config, const net::FaultPlan& plan) {
-  // Sharded trials run on their own multi-group cluster; their fault plan
-  // regenerates deterministically from the seed (the explicit-plan path is
-  // the single-group shrinker's entry point).
-  if (config.shards > 1) return run_shard_trial(config);
-
-  const bool generate = plan.empty() && config.faults.total_actions() > 0;
-
-  auto context = std::make_unique<TrialContext>();
-  context->incarnations.resize(static_cast<std::size_t>(config.replicas), 0);
-  if (config.record_trace) context->trace.enable();
-  TrialContext& ctx = *context;
-
-  harness::ScenarioConfig sc;
-  sc.seed = config.seed;
-  sc.clients = config.clients;
-  sc.replicas = config.replicas;
-  sc.max_replicas = config.replicas;
-  sc.style = config.style;
-  sc.checkpoint_interval = config.checkpoint_interval;
-  sc.checkpoint_every_requests = config.checkpoint_every_requests;
-  sc.checkpoint_anchor_interval = config.checkpoint_anchor_interval;
-  sc.auto_recover = true;
-  sc.skip_reply_dedup = config.inject_dedup_bug;
-  sc.tracing = config.record_spans;
-  sc.health = config.health;
-  sc.make_servant = [&ctx](int index) {
-    auto servant = std::make_unique<app::KvStoreServant>();
-    servant->set_on_apply([&ctx, index](const std::string& op, const std::string& key) {
-      if (ctx.trace.enabled() && ctx.kernel != nullptr) {
-        ctx.trace.add(ctx.kernel->now(), "replica" + std::to_string(index),
-                      "apply " + op + " " + key);
-      }
-    });
-    return servant;
-  };
-  sc.on_replicator_created = [&ctx](int index, replication::Replicator& rep) {
-    const std::uint64_t incarnation = ctx.incarnations[static_cast<std::size_t>(index)]++;
-    rep.set_on_checkpoint([&ctx, index, incarnation](std::uint64_t id) {
-      ctx.checkpoints.push_back({index, incarnation, id});
-      if (ctx.trace.enabled() && ctx.kernel != nullptr) {
-        ctx.trace.add(ctx.kernel->now(), "replica" + std::to_string(index),
-                      "checkpoint " + std::to_string(id));
-      }
-    });
-  };
-
-  harness::Scenario scenario(sc);
-  ctx.kernel = &scenario.kernel();
-
-  if (generate) {
-    Rng plan_rng = Rng(config.seed).fork(0xfa017);
-    scenario.fault_plan() = generate_schedule(plan_rng, config.faults, scenario);
-  } else {
-    scenario.fault_plan() = plan;
-  }
-  const net::FaultPlan& active_plan = scenario.fault_plan();
-  if (ctx.trace.enabled()) {
-    for (const auto& a : active_plan.actions()) {
-      ctx.trace.add(a.at, "faultplan", a.to_string());
-    }
-  }
-  scenario.arm_faults();
-
-  // Workload.
-  std::vector<std::unique_ptr<WorkloadClient>> clients;
-  int remaining = config.clients;
-  for (int c = 0; c < config.clients; ++c) {
-    WorkloadClient::Config wc;
-    wc.index = c;
-    wc.ops = config.ops_per_client;
-    wc.gap = config.op_gap;
-    wc.append_ratio = config.append_ratio;
-    auto client = std::make_unique<WorkloadClient>(
-        scenario, wc, Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)),
-        ctx.trace.enabled() ? &ctx.trace : nullptr);
-    client->on_done = [&scenario, &remaining] {
-      if (--remaining == 0) scenario.kernel().stop();
-    };
-    client->start();
-    clients.push_back(std::move(client));
-  }
-
-  const SimTime deadline =
-      std::max(config.hard_deadline,
-               active_plan.last_effect_end() + config.recovery_bound + sec(2));
-  scenario.kernel().run_until(deadline);
-  const bool all_done = remaining == 0;
-  if (config.health) {
-    // The detection oracle judges every scheduled fault, so each one must
-    // actually strike while the health plane is watching: when the workload
-    // finishes early, keep the simulation alive through the last fault
-    // effect plus the detection bound instead of stopping with late faults
-    // still pending.
-    scenario.kernel().run_until(active_plan.last_effect_end() +
-                                config.detection_bound + msec(200));
-  }
-  scenario.drain(msec(500));  // let replies, checkpoints and joins settle
-
-  // Observation.
-  TrialResult result;
-  result.plan = active_plan;
-  result.last_fault_end = active_plan.last_effect_end();
-
-  TrialObservation obs;
-  obs.recovery_bound = config.recovery_bound;
-  obs.expected_lost = permanently_lost(active_plan, scenario);
-  obs.all_clients_done = all_done;
-  SimTime finished = all_done ? kTimeZero : deadline;
-  for (const auto& client : clients) {
-    const auto& h = client->history();
-    obs.history.insert(obs.history.end(), h.begin(), h.end());
-    result.completed_ops += static_cast<std::uint64_t>(client->completed());
-    finished = std::max(finished, client->last_completed_at());
-  }
-  obs.finished_at = finished;
-  obs.last_fault_end = result.last_fault_end;
-  obs.checkpoints = ctx.checkpoints;
-
-  for (int r = 0; r < config.replicas; ++r) {
-    TrialObservation::ReplicaState rs;
-    rs.index = r;
-    auto& rep = scenario.replicator(r);
-    rs.live = scenario.replica_process(r).alive() && !rep.stopped();
-    rs.initialized = rep.initialized();
-    rs.responder = rs.live && rep.is_responder();
-    if (const auto& view = rep.current_view()) {
-      rs.view_id = view->view_id;
-      for (const auto& member : view->members) rs.view_members.push_back(member.process);
-    }
-    auto* kv = dynamic_cast<app::KvStoreServant*>(&scenario.app(r));
-    VDEP_ASSERT_MSG(kv != nullptr, "chaos trials replicate the KV store");
-    for (int c = 0; c < config.clients; ++c) {
-      const std::string key = client_log_key(c);
-      if (auto value = kv->lookup(key)) rs.logs[key] = *value;
-    }
-    obs.replicas.push_back(std::move(rs));
-  }
-
-  result.verdict = check_all(obs);
-  if (config.health) {
-    HealthObservation hobs;
-    hobs.enabled = true;
-    hobs.fault_free = active_plan.empty();
-    hobs.detection_bound = config.detection_bound;
-    hobs.events = scenario.health().events();
-    hobs.faults = active_plan.actions();
-    result.verdict.merge(check_detection(hobs));
-    result.health_observation = std::move(hobs);
-  }
-  result.finished_at = finished;
-  result.recovery_ms =
-      finished > result.last_fault_end ? to_usec(finished - result.last_fault_end) / 1000.0
-                                       : 0.0;
-  if (ctx.trace.enabled()) {
-    const std::string rendered = ctx.trace.render();
-    result.trace_digest = fnv1a(
-        {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
-  }
-  if (config.record_spans) {
-    const obs::Tracer& tracer = scenario.kernel().tracer();
-    result.spans_recorded = tracer.spans_recorded();
-    result.spans_dropped = tracer.spans_dropped();
-    result.flight_recording = obs::to_chrome_trace(tracer);
-  }
-  result.observation = std::move(obs);
-  return result;
-}
 
 TrialConfig campaign_trial_config(const CampaignConfig& config, int index) {
   TrialConfig trial = config.base;

@@ -1,10 +1,12 @@
 // Chaos campaign runner: seeded trials over the dependability design space.
 //
-// One trial = build a replicated KV scenario, generate (or accept) a fault
-// schedule, run a recorded client workload through it, then judge the
-// completed run with the invariant oracles. A trial is reproducible from
-// (seed, config) alone — the schedule, the workload mix, every network
-// coin-flip and the final verdict all derive from them deterministically.
+// One trial = build a replicated KV testbed (a single-group Scenario, or a
+// sharded cluster when shards > 1), take a fault schedule, run a recorded
+// client workload through it, then judge the completed run with the
+// invariant oracles. A trial is reproducible from (seed, config, schedule)
+// alone — the generated schedule, the workload mix, every network coin-flip
+// and the final verdict all derive from them deterministically. The trial
+// runner lives in trial.cpp.
 //
 // A campaign sweeps trials across {replication style x replica count x
 // checkpoint frequency} and aggregates verdicts and recovery-time metrics
@@ -45,15 +47,18 @@ struct TrialConfig {
 
   // Deliberate safety bug (reply dedup disabled) — used to validate that
   // the oracles actually catch violations. See ReplicatorParams.
+  // Single-group trials only: sharded trials ignore it.
   bool inject_dedup_bug = false;
 
   // Record a structured trace and digest it (determinism tests).
+  // Single-group trials only: sharded trials ignore it.
   bool record_trace = false;
 
   // Live health plane: attach a HealthMonitor to the trial scenario, feed
   // client latencies into the service SLO, and judge the run with the
   // detection oracle — every injected crash/partition must be flagged within
   // detection_bound, and fault-free control trials must raise no alarm.
+  // Single-group trials only: sharded trials ignore it (and detection_bound).
   bool health = false;
   SimTime detection_bound = msec(400);
 
@@ -66,9 +71,9 @@ struct TrialConfig {
   // Sharded scale-out trials: shards > 1 builds a shard::ShardedCluster
   // (directory group + one replica group per shard, routed clients) instead
   // of a single-group Scenario, performs `splits` online shard splits while
-  // the workload runs, and injects the fault budget *inside* the split
-  // windows. Judged by the shard oracles (ownership + migration integrity)
-  // plus bounded recovery; see run_shard_trial.
+  // the workload runs, and generates the fault budget *inside* the split
+  // windows (make_shard_plan). Judged by the shard oracles (ownership +
+  // migration integrity) plus bounded recovery.
   int shards = 1;
   int splits = 2;
 };
@@ -78,7 +83,7 @@ struct TrialResult {
   Verdict verdict;
   TrialObservation observation;
   ShardObservation shard_observation;    // populated when shards > 1
-  HealthObservation health_observation;  // populated when health is on
+  HealthObservation health_observation;  // populated when health is on (shards == 1)
   SimTime finished_at = kTimeZero;
   SimTime last_fault_end = kTimeZero;
   double recovery_ms = 0.0;  // last fault effect -> workload completion
@@ -93,11 +98,14 @@ struct TrialResult {
   [[nodiscard]] bool pass() const { return verdict.pass(); }
 };
 
-// Runs one trial with a schedule generated from the trial seed.
+// Runs one trial with a schedule generated from the trial seed and the
+// config's fault budget (generate_schedule, or make_shard_plan when
+// shards > 1).
 [[nodiscard]] TrialResult run_trial(const TrialConfig& config);
 
-// Runs one trial with an explicit schedule (the shrinker's entry point; also
-// how a minimal reproducer is replayed).
+// Runs one trial with exactly `plan` — nothing generated, on either testbed;
+// an empty plan is a fault-free run. The shrinker's entry point, and how a
+// minimal reproducer is replayed.
 [[nodiscard]] TrialResult run_trial(const TrialConfig& config,
                                     const net::FaultPlan& plan);
 

@@ -1,9 +1,12 @@
 // Chaos workload clients: closed-loop KV traffic with a recorded history.
 //
-// Each WorkloadClient is a real client process on a client host — its own
-// ORB and client-side replicator (ClientCoordinator), exactly like the
-// application clients in examples/kv_cluster.cpp — so retransmissions,
-// failovers and reply dedup all happen on the genuine code paths.
+// A WorkloadClient drives one client process of a trial testbed through a
+// genuine client path — on a single-group Scenario its own ORB and
+// client-side replicator (ClientCoordinator), exactly like the application
+// clients in examples/kv_cluster.cpp; on a sharded cluster the client's
+// ShardRouter — so retransmissions, failovers, reply dedup and stale-map
+// retries all happen on the real code paths. The testbed supplies only how
+// an op is sent; issuing, pacing and recording are the same everywhere.
 //
 // The exactly-once oracle needs duplicated executions to be *visible in
 // state*, so the workload's backbone is "append" operations carrying unique
@@ -16,8 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "harness/scenario.hpp"
+#include "sim/actor.hpp"
 #include "sim/trace.hpp"
+#include "util/rng.hpp"
 
 namespace vdep::chaos {
 
@@ -44,14 +48,24 @@ class WorkloadClient {
     int index = 0;
     int ops = 100;
     SimTime gap = msec(12);        // think time between completions
-    SimTime start_at = msec(250);  // after the group settles
+    SimTime start_at = msec(250);  // first op of client 0, after the group settles
+    SimTime stagger = usec(125);   // per-index offset of each client's first op
     double append_ratio = 0.7;     // rest split between put and get
+    // Put/get keys: key_prefix + a uniform draw below key_space.
+    std::string key_prefix;
+    std::uint64_t key_space = 8;
   };
 
-  WorkloadClient(harness::Scenario& scenario, Config config, Rng rng,
+  // Delivers one op to the service: `value` is the append token, the put
+  // value, or empty for a get; `done(ok)` reports the reply.
+  using Done = std::function<void(bool ok)>;
+  using Send = std::function<void(const OpRecord& op, const std::string& value, Done done)>;
+
+  // `process` paces the client (its crash silences it); `trace` may be null.
+  WorkloadClient(sim::Process& process, Config config, Rng rng, Send send,
                  sim::TraceRecorder* trace);
 
-  // Schedules the first request on the scenario kernel.
+  // Schedules the first request.
   void start();
 
   [[nodiscard]] bool done() const { return completed_ == config_.ops; }
@@ -65,12 +79,11 @@ class WorkloadClient {
  private:
   void issue_next();
 
-  harness::Scenario& scenario_;
+  sim::Process& process_;
   Config config_;
   Rng rng_;
+  Send send_;
   sim::TraceRecorder* trace_;
-  sim::Process process_;
-  orb::ClientOrb orb_;
   std::uint64_t next_seq_ = 0;
   int completed_ = 0;
   SimTime last_completed_ = kTimeZero;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "shard/cluster.hpp"
 
 namespace vdep::chaos {
 
@@ -120,6 +121,75 @@ net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
         break;
       }
     }
+  }
+  return plan;
+}
+
+net::FaultPlan make_shard_plan(Rng& rng, const SchedulePolicy& p,
+                               shard::ShardedCluster& cluster,
+                               const std::vector<SimTime>& split_times) {
+  std::vector<SimTime> windows = split_times;
+  if (windows.empty()) windows.push_back(p.window_start);
+  auto window_at = [&windows](int i) {
+    return windows[static_cast<std::size_t>(i) % windows.size()];
+  };
+
+  const auto groups = cluster.data_groups();
+  std::set<std::uint64_t> server_host_set;
+  for (GroupId g : groups) {
+    for (int n = 0; n < cluster.replicas_in(g); ++n) {
+      server_host_set.insert(cluster.replica_process(g, n).host().value());
+    }
+  }
+  std::vector<NodeId> server_hosts;
+  for (std::uint64_t h : server_host_set) server_hosts.push_back(NodeId{h});
+
+  net::FaultPlan plan;
+  int slot = 0;
+  for (int i = 0; i < p.crash_recoveries; ++i) {
+    const GroupId group = groups[static_cast<std::size_t>(i) % groups.size()];
+    const int node =
+        static_cast<int>(rng.below(static_cast<std::uint64_t>(cluster.replicas_in(group))));
+    const SimTime at =
+        window_at(slot++) + msec(100) + msec(static_cast<std::int64_t>(rng.below(200)));
+    const SimTime down =
+        p.min_down + usec_f(rng.uniform(0.0, to_usec(p.max_down - p.min_down)));
+    plan.crash_process(at, cluster.replica_pid(group, node));
+    plan.restart_process(at + down, cluster.replica_pid(group, node));
+  }
+  for (int i = 0; i < p.partitions && server_hosts.size() > 1; ++i) {
+    const NodeId victim =
+        server_hosts[rng.below(static_cast<std::uint64_t>(server_hosts.size()))];
+    std::set<NodeId> side_a{victim};
+    std::set<NodeId> side_b;
+    for (NodeId h : server_hosts) {
+      if (h != victim) side_b.insert(h);
+    }
+    const SimTime at =
+        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(200)));
+    const SimTime dur =
+        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
+    plan.partition_window(at, at + dur, std::move(side_a), std::move(side_b));
+  }
+  for (int i = 0; i < p.loss_bursts && server_hosts.size() > 1; ++i) {
+    const std::size_t a = rng.below(static_cast<std::uint64_t>(server_hosts.size()));
+    std::size_t b = rng.below(static_cast<std::uint64_t>(server_hosts.size() - 1));
+    if (b >= a) ++b;
+    const SimTime at =
+        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(250)));
+    const SimTime dur =
+        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
+    plan.loss_burst(at, at + dur, server_hosts[a], server_hosts[b],
+                    rng.uniform(p.min_loss, p.max_loss));
+  }
+  for (int i = 0; i < p.slow_hosts && !server_hosts.empty(); ++i) {
+    const NodeId host =
+        server_hosts[rng.below(static_cast<std::uint64_t>(server_hosts.size()))];
+    const SimTime at =
+        window_at(slot++) + msec(static_cast<std::int64_t>(rng.below(300)));
+    const SimTime dur =
+        p.min_window + usec_f(rng.uniform(0.0, to_usec(p.max_window - p.min_window)));
+    plan.slow_host(at, at + dur, host, rng.uniform(p.min_slow, p.max_slow));
   }
   return plan;
 }

@@ -17,13 +17,21 @@
 //
 // Clients (and their hosts, which carry the group-communication leader) are
 // never faulted: the paper's fault model targets the replicated server side.
+//
+// make_shard_plan is the sharded-cluster counterpart: it draws the same
+// budget into the online-split windows instead of spacing it out.
 #pragma once
+
+#include <vector>
 
 #include "net/fault_plan.hpp"
 #include "util/rng.hpp"
 
 namespace vdep::harness {
 class Scenario;
+}
+namespace vdep::shard {
+class ShardedCluster;
 }
 
 namespace vdep::chaos {
@@ -58,5 +66,16 @@ struct SchedulePolicy {
 // simulation kernel, or the schedule would perturb the run it scripts.
 [[nodiscard]] net::FaultPlan generate_schedule(Rng& rng, const SchedulePolicy& policy,
                                                const harness::Scenario& scenario);
+
+// Generates a schedule for a sharded cluster whose splits start at
+// `split_times`: crashes strike while a range is frozen, donated or being
+// installed; partitions and loss bursts silence server hosts mid-migration
+// (each window < the 500 ms detector threshold); slow hosts stretch the
+// window. Clients, their hosts (which carry the GCS leader) and the
+// migration controller are never faulted. Deterministic in (rng state,
+// policy, topology, split times).
+[[nodiscard]] net::FaultPlan make_shard_plan(Rng& rng, const SchedulePolicy& policy,
+                                             shard::ShardedCluster& cluster,
+                                             const std::vector<SimTime>& split_times);
 
 }  // namespace vdep::chaos

@@ -6,7 +6,10 @@
 // then per-action retiming (snapping strike/lift times to a coarse grid and
 // pulling them earlier). Every probe is a full deterministic trial, so the
 // result is an honest minimal reproducer, printable via FaultPlan::to_string
-// and replayable with run_trial(config, minimal).
+// and replayable with run_trial(config, minimal) on either testbed. Before
+// ddmin, the empty schedule is probed as a degenerate witness: that probe
+// really runs with no faults, so a failure that needs no fault at all
+// shrinks to the empty plan, and any other failure keeps its trigger.
 //
 // With a StealPool, each ddmin round evaluates all of its candidate plans as
 // parallel trials (each probe is an independent kernel) and commits the

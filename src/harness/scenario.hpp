@@ -18,11 +18,12 @@
 #include "app/workload.hpp"
 #include "interpose/interposer.hpp"
 #include "knobs/low_level.hpp"
-#include "monitor/bandwidth_meter.hpp"
 #include "monitor/health/health_monitor.hpp"
 #include "net/fault_plan.hpp"
+#include "net/network.hpp"
 #include "replication/client_coordinator.hpp"
 #include "replication/replicator.hpp"
+#include "sim/trace.hpp"
 
 namespace vdep::harness {
 

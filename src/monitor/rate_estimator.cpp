@@ -4,16 +4,6 @@
 
 namespace vdep::monitor {
 
-RateEstimator::RateEstimator(SimTime window, double ewma_alpha)
-    : window_(window), smoothed_(ewma_alpha) {}
-
-void RateEstimator::record(SimTime now) { window_.record(now); }
-
-double RateEstimator::rate(SimTime now) {
-  smoothed_.add(window_.rate(now));
-  return smoothed_.value();
-}
-
 ThresholdWatcher::ThresholdWatcher(double low, double high, SimTime min_dwell)
     : low_(low), high_(high), min_dwell_(min_dwell) {
   VDEP_ASSERT_MSG(low < high, "hysteresis needs low < high");

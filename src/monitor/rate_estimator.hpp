@@ -1,31 +1,17 @@
-// Request-rate estimation and hysteresis thresholding.
+// Hysteresis thresholding of a measured rate.
 //
 // The Fig. 6 adaptation policy switches replication style "whenever the
-// request rate increases above a certain threshold". RateEstimator smooths a
-// sliding-window rate; ThresholdWatcher turns it into stable high/low state
-// transitions with hysteresis and a minimum dwell time, so measurement
-// jitter near the threshold cannot make the system thrash between styles.
+// request rate increases above a certain threshold". ThresholdWatcher turns
+// the agreed rate into stable high/low state transitions with hysteresis and
+// a minimum dwell time, so measurement jitter near the threshold cannot make
+// the system thrash between styles.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "util/stats.hpp"
 
 namespace vdep::monitor {
-
-class RateEstimator {
- public:
-  explicit RateEstimator(SimTime window = msec(500), double ewma_alpha = 0.3);
-
-  void record(SimTime now);
-  // Smoothed events/second.
-  [[nodiscard]] double rate(SimTime now);
-
- private:
-  SlidingRate window_;
-  Ewma smoothed_;
-};
 
 class ThresholdWatcher {
  public:

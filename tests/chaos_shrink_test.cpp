@@ -76,6 +76,54 @@ TEST(ChaosShrink, MinimizesInjectedBugToAtMostThreeActions) {
   EXPECT_TRUE(run_trial(fixed, shrunk.minimal).pass());
 }
 
+// A failure found on a *generated* schedule keeps its trigger: the empty
+// plan the shrinker probes first really runs fault-free and passes, so the
+// minimal reproducer is non-empty and its replay still fails.
+TEST(ChaosShrink, GeneratedFailingScheduleShrinksToNonEmptyReproducer) {
+  TrialConfig config = bug_trial();
+  config.seed = 99;  // a seed whose generated schedule trips the planted bug
+  const TrialResult generated = run_trial(config);
+  ASSERT_FALSE(check_exactly_once(generated.observation).pass())
+      << "schedule:\n" << generated.plan.to_string();
+  ASSERT_TRUE(run_trial(config, net::FaultPlan{}).pass());
+
+  const auto dedup_violated = [](const TrialResult& r) {
+    return !check_exactly_once(r.observation).pass();
+  };
+  const ShrinkResult shrunk = shrink_schedule(config, generated.plan, dedup_violated);
+  EXPECT_GE(shrunk.minimal.size(), 1u);
+  EXPECT_LE(shrunk.minimal.size(), generated.plan.size());
+
+  const TrialResult replay = run_trial(config, shrunk.minimal);
+  EXPECT_FALSE(check_exactly_once(replay.observation).pass())
+      << "minimal reproducer:\n" << shrunk.minimal.to_string();
+}
+
+// The same holds on the sharded testbed, pinned by a predicate: the run
+// failed a primary over (its flight recording holds a promotion), which no
+// fault-free sharded run does.
+TEST(ChaosShrink, GeneratedShardedScheduleShrinksToNonEmptyReproducer) {
+  TrialConfig config;
+  config.seed = 1;
+  config.shards = 4;
+  config.replicas = 2;
+  config.ops_per_client = 40;
+  config.record_spans = true;
+  const auto failed_over = [](const TrialResult& r) {
+    return r.flight_recording.find("\"rep.promote\"") != std::string::npos;
+  };
+  ASSERT_FALSE(failed_over(run_trial(config, net::FaultPlan{})));
+  const TrialResult generated = run_trial(config);
+  ASSERT_TRUE(failed_over(generated)) << "schedule:\n" << generated.plan.to_string();
+
+  const ShrinkResult shrunk = shrink_schedule(config, generated.plan, failed_over);
+  EXPECT_GE(shrunk.minimal.size(), 1u);
+  EXPECT_LT(shrunk.minimal.size(), generated.plan.size());
+  const TrialResult replay = run_trial(config, shrunk.minimal);
+  EXPECT_TRUE(failed_over(replay)) << "minimal reproducer:\n" << shrunk.minimal.to_string();
+  EXPECT_EQ(replay.plan, shrunk.minimal);
+}
+
 TEST(ChaosShrink, ParallelRoundsFindTheSameMinimalSchedule) {
   // A ddmin round on the pool evaluates every candidate as a parallel trial
   // and commits the lowest-indexed failure — the same candidate the serial

@@ -134,6 +134,48 @@ TEST(ChaosTrial, InjectedDedupBugIsCaughtByExactlyOnceOracle) {
       << result.verdict.to_string();
 }
 
+// An explicit plan is exactly the plan that runs: an empty one means a
+// fault-free run, never "generate from the seed".
+TEST(ChaosTrial, ExplicitEmptyPlanRunsNoFaults) {
+  const TrialConfig config = small_trial(11);
+  ASSERT_GT(config.faults.total_actions(), 0);
+  ASSERT_FALSE(run_trial(config).plan.empty());
+
+  const TrialResult result = run_trial(config, net::FaultPlan{});
+  EXPECT_TRUE(result.plan.empty()) << result.plan.to_string();
+  EXPECT_EQ(result.last_fault_end, kTimeZero);
+  EXPECT_TRUE(result.pass()) << result.verdict.to_string();
+  EXPECT_EQ(result.completed_ops, 120u);
+}
+
+// Sharded trials honour an explicit plan too: a one-action plan taken from
+// the generated schedule runs alone.
+TEST(ChaosTrial, ShardedTrialRunsExactlyTheGivenPlan) {
+  TrialConfig config = small_trial(31);
+  config.shards = 4;
+  config.replicas = 2;
+  config.ops_per_client = 40;
+  const net::FaultPlan generated = run_trial(config).plan;
+  ASSERT_GT(generated.size(), 1u);
+
+  net::FaultPlan one;
+  for (const auto& action : generated.actions()) {
+    if (action.windowed()) {
+      one.add(action);
+      break;
+    }
+  }
+  ASSERT_EQ(one.size(), 1u);
+  const TrialResult result = run_trial(config, one);
+  EXPECT_EQ(result.plan, one) << result.plan.to_string();
+  EXPECT_EQ(result.last_fault_end, one.last_effect_end());
+  EXPECT_TRUE(result.pass()) << result.verdict.to_string();
+
+  const TrialResult fault_free = run_trial(config, net::FaultPlan{});
+  EXPECT_TRUE(fault_free.plan.empty()) << fault_free.plan.to_string();
+  EXPECT_TRUE(fault_free.pass()) << fault_free.verdict.to_string();
+}
+
 TEST(ChaosTrial, CampaignSweepCoversTheDesignSpace) {
   CampaignConfig config;
   config.seed = 3;

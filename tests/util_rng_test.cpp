@@ -137,8 +137,7 @@ TEST(Rng, ForkIndicesYieldDistinctStreams) {
 }
 
 TEST(Rng, ForkOfForkIsReproducible) {
-  // The windowed engine derives per-host streams as seed.fork(f(host)).fork(k);
-  // two-level forking must reproduce exactly.
+  // Streams derived as seed.fork(a).fork(b) must reproduce exactly.
   Rng a = Rng(7).fork(3).fork(9);
   Rng b = Rng(7).fork(3).fork(9);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(a.next(), b.next());
