@@ -144,14 +144,14 @@ int main(int argc, char** argv) {
   std::printf("kv_cluster — replicated key-value store with mid-load failover\n\n");
   harness::Table table({"metric", "value"});
   table.add_row({"puts acknowledged", std::to_string(stored) + " / " + std::to_string(keys)});
-  table.add_row({"replicas alive after crash", std::to_string(scenario.live_replicas())});
+  table.add_row({"replicas alive after crash", std::to_string(scenario.group().live_count())});
   table.add_row({"user:42 after failover", survived});
   auto& survivor = dynamic_cast<app::KvStoreServant&>(scenario.app(1));
   table.add_row({"entries at promoted backup", std::to_string(survivor.entries())});
   std::printf("%s\n", table.render().c_str());
 
   // Capacity question an operator would ask next: what does five nines cost?
-  knobs::VersatileDependability vd(scenario);
+  knobs::VersatileDependability vd(scenario.group());
   vd.install_availability_knob(knobs::AvailabilityModel{});
   for (double target : {0.999, 0.99999}) {
     auto choice = vd.tune_for_availability(target);

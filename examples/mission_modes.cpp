@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
   // contract to be violated and renegotiated while still in passive mode.
   scenario.kernel().post_at(sec(5), [&] {
     std::printf("[t=5.0s] MODE: encounter — switching to active replication\n");
-    scenario.set_style(replication::ReplicationStyle::kActive);
+    scenario.group().set_style(replication::ReplicationStyle::kActive);
   });
   scenario.kernel().post_at(sec(8), [&] {
     std::printf("[t=8.0s] MODE: cruise — switching back to warm passive\n");
-    scenario.set_style(replication::ReplicationStyle::kWarmPassive);
+    scenario.group().set_style(replication::ReplicationStyle::kWarmPassive);
   });
 
   // Behavioral contract: cruise promises 5 ms; if that cannot be honoured,

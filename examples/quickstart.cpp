@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   table.add_row({"mean round-trip [us]", harness::Table::num(result.avg_latency_us)});
   table.add_row({"p99 round-trip [us]", harness::Table::num(result.p99_latency_us)});
   table.add_row({"bandwidth [MB/s]", harness::Table::num(result.bandwidth_mbps, 3)});
-  table.add_row({"replicas still alive", std::to_string(scenario.live_replicas())});
+  table.add_row({"replicas still alive", std::to_string(scenario.group().live_count())});
   table.add_row({"faults still tolerated", std::to_string(result.faults_tolerated)});
   std::printf("%s\n", table.render().c_str());
 
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // 5. The knob view of the same system: this is the interface versatile
   //    dependability gives operators.
-  knobs::VersatileDependability vd(scenario);
+  knobs::VersatileDependability vd(scenario.group());
   std::printf("knobs available on this service:\n");
   for (const knobs::Knob* knob : vd.registry().list()) {
     std::printf("  [%s] %-22s = %-12s %s\n",
@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
   vd.registry().at("ReplicationStyle").set("warm_passive");
   scenario.drain(sec(1));
   std::printf("\nafter turning ReplicationStyle -> %s, responder is replica rank 0\n",
-              replication::to_string(scenario.style()).c_str());
+              replication::to_string(scenario.group().style()).c_str());
   return 0;
 }

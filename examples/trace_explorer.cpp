@@ -30,8 +30,8 @@
 #include <string>
 
 #include "harness/scenario.hpp"
+#include "monitor/metrics_export.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics_export.hpp"
 #include "shard/cluster.hpp"
 #include "util/config.hpp"
 
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
 
   if (dump_metrics) {
     const std::string metrics_out = cfg.get_str("metrics_out", "metrics.json");
-    const std::string metrics_json = obs::to_metrics_json(scenario.metrics());
+    const std::string metrics_json = monitor::to_metrics_json(scenario.metrics());
     if (!obs::write_file(metrics_out, metrics_json)) {
       std::fprintf(stderr, "failed to write %s\n", metrics_out.c_str());
       return 1;

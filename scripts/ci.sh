@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 quick suite on the default build, then the trace and
 # health-event determinism gates (two same-seed runs must export byte-
-# identical recordings / HealthEvent streams), then the same suite under
+# identical recordings / HealthEvent streams), then the golden outputs
+# against their pinned digests, then the same suite under
 # ASan/UBSan (VDEP_SANITIZE=ON), then the long chaos campaign.
 #
 # Usage: scripts/ci.sh [--skip-sanitize] [--skip-chaos]
@@ -121,6 +122,16 @@ cmake --build "${repo_root}/build" -j"${jobs}" --target health_dashboard
   events="${trace_dir}/health2.txt" > /dev/null
 diff "${trace_dir}/health1.txt" "${trace_dir}/health2.txt"
 echo "health-event streams are byte-identical across same-seed runs"
+
+echo "== golden digests (scripts/golden_digests.sha256) =="
+# Example stdout, trace exports, HealthEvent streams and chaos JSON from the
+# default build must match their pinned digests byte for byte.
+cmake --build "${repo_root}/build" -j"${jobs}" --target quickstart kv_cluster \
+  mission_modes sensor_network capacity_planner trace_explorer health_dashboard \
+  chaos_runner
+"${repo_root}/scripts/golden_outputs.sh" "${repo_root}/build" "${trace_dir}/golden"
+(cd "${trace_dir}/golden" && sha256sum -c "${repo_root}/scripts/golden_digests.sha256")
+echo "golden outputs match their pinned digests"
 
 if [[ "${skip_sanitize}" -eq 0 ]]; then
   echo "== tier-1 (ASan + UBSan) =="

@@ -12,47 +12,13 @@ namespace {
 constexpr GroupId kAppGroup{1};
 constexpr GroupId kMonitorGroup{2};
 constexpr std::uint16_t kServerPort = 7001;
-constexpr ObjectId kObjectKey{1};
 // Replicas join staggered at boot; clients start once the group is settled.
 constexpr SimTime kReplicaBootStagger = msec(1);
 constexpr SimTime kClientStartTime = msec(200);
+// Committed-but-unserved CPU time on a replica host that the health plane's
+// queue-depth probe flags.
+constexpr double kCpuBacklogThresholdUs = 100'000.0;
 }  // namespace
-
-// One replica: process, servant, ORB stack and (in replicated mode) the
-// replicator plus optional monitoring/adaptation.
-struct Scenario::ReplicaBundle {
-  ReplicaBundle(Scenario& owner, int index, NodeId host, ProcessId pid)
-      : index(index),
-        process(owner.kernel(), pid, host,
-                "replica" + std::to_string(index) + "@" +
-                    owner.network().host_name(host)),
-        servant(owner.make_servant_for(index)),
-        orb(owner.network(), process, poa) {
-    poa.activate(kObjectKey, *servant);
-  }
-
-  int index;
-  sim::Process process;
-  std::unique_ptr<replication::Checkpointable> servant;
-  orb::Poa poa;
-  orb::ServerOrb orb;
-  std::unique_ptr<replication::Replicator> replicator;
-  std::unique_ptr<monitor::ReplicatedStateObject> state;
-  std::unique_ptr<adaptive::AdaptationManager> adaptation;
-  // Non-replicated modes (Fig. 4 baseline / interception-only bars).
-  std::unique_ptr<orb::DirectServerAcceptor> acceptor;
-  std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor;
-  bool started = false;
-  bool recovery_hooked = false;
-  // Process incarnation the replicator was built for; a mismatch means the
-  // stack is stale (the process restarted underneath it) and needs recovery.
-  std::uint64_t replicator_incarnation = 0;
-
-  [[nodiscard]] bool live() const {
-    return started && process.alive() &&
-           (replicator == nullptr || !replicator->stopped());
-  }
-};
 
 struct Scenario::ClientBundle {
   ClientBundle(Scenario& owner, int index, NodeId host, ProcessId pid)
@@ -98,46 +64,76 @@ void Scenario::build() {
 
   for (NodeId host : hosts) {
     daemons_.push_back(std::make_unique<gcs::Daemon>(
-        *kernel_, *network_, ProcessId{next_pid_++}, host, hosts, config_.daemon));
+        *kernel_, *network_, ProcessId{next_pid_++}, host, hosts, gcs::DaemonParams{}));
   }
 
   if (config_.health) {
     health_ = std::make_unique<monitor::health::HealthMonitor>(
-        *kernel_, metrics_, config_.health_params);
+        *kernel_, metrics_, monitor::health::HealthParams{});
     for (auto& d : daemons_) health_->attach(*d);
-    if (config_.slos.empty()) {
-      monitor::health::SloSpec slo;
-      slo.name = "service";
-      slo.latency_metric = "service.latency_us";
-      slo.request_counter = "service.requests";
-      slo.failure_counter = "service.failures";
-      health_->add_slo(slo);
-    } else {
-      for (const auto& slo : config_.slos) health_->add_slo(slo);
-    }
+    monitor::health::SloSpec slo;
+    slo.name = "service";
+    slo.latency_metric = "service.latency_us";
+    slo.request_counter = "service.requests";
+    slo.failure_counter = "service.failures";
+    health_->add_slo(slo);
     // Queue-depth probes on the replica machines: committed-but-unserved CPU
     // time is the backlog a gray failure (e.g. a slow host) builds up.
     for (int r = 0; r < config_.max_replicas; ++r) {
       const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
       auto& cpu = network_->cpu(host);
       health_->add_probe("cpu_backlog." + network_->host_name(host),
-                         config_.cpu_backlog_threshold_us,
-                         [&cpu] { return to_usec(cpu.backlog()); });
+                         kCpuBacklogThresholdUs, [&cpu] { return to_usec(cpu.backlog()); });
     }
     health_->start();
   }
 
   for (auto& d : daemons_) d->boot();
 
-  // Replicas.
+  // Replicas. Growth takes pids after the clients' and lands on a replica
+  // host with no live resident.
+  ReplicaGroup::Config group;
+  group.id = kAppGroup;
+  group.name_prefix = "replica";
+  group.style = config_.style;
+  group.replicator.checkpoint_interval = config_.checkpoint_interval;
+  group.replicator.checkpoint_every_requests = config_.checkpoint_every_requests;
+  group.replicator.checkpoint_anchor_interval = config_.checkpoint_anchor_interval;
+  group.replicator.skip_reply_dedup = config_.skip_reply_dedup;
+  group.auto_recover = config_.auto_recover;
+  group.make_servant = [this](int index) -> std::unique_ptr<replication::Checkpointable> {
+    if (config_.make_servant) return config_.make_servant(index);
+    return std::make_unique<app::TestServant>(app::TestServant::Config{
+        config_.state_bytes, config_.reply_bytes, config_.app_exec_time});
+  };
+  group.pick_growth_host = [this] {
+    for (int r = 0; r < config_.max_replicas; ++r) {
+      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
+      const auto& nodes = group_->nodes();
+      if (std::none_of(nodes.begin(), nodes.end(), [host](const auto& n) {
+            return n->live() && n->process.host() == host;
+          })) {
+        return host;
+      }
+    }
+    throw std::runtime_error("no free replica host; raise max_replicas");
+  };
+  group.on_start = [this](int index, replication::Replicator& replicator) {
+    if (config_.on_replicator_created) config_.on_replicator_created(index, replicator);
+    attach_monitoring(index, replicator);
+  };
   next_pid_ = 1000;
+  group_ = std::make_unique<ReplicaGroup>(*kernel_, *network_, daemons_, next_pid_,
+                                          std::move(group));
   for (int r = 0; r < config_.replicas; ++r) {
-    const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-    replicas_.push_back(std::make_unique<ReplicaBundle>(
-        *this, r, host, ProcessId{next_pid_++}));
-    const int index = r;
-    kernel_->post(kReplicaBootStagger * (r + 1),
-                  [this, index] { start_replica(index, /*join_existing=*/false); });
+    const int index =
+        group_->add_node(NodeId{static_cast<std::uint64_t>(config_.clients + r)});
+    if (config_.replicated) {
+      kernel_->post(kReplicaBootStagger * (r + 1),
+                    [this, index] { group_->start(index, /*join_existing=*/false); });
+    } else if (index == 0) {
+      kernel_->post(kReplicaBootStagger, [this] { start_plain_server(); });
+    }
   }
 
   // Clients.
@@ -169,86 +165,57 @@ void Scenario::build() {
   }
 }
 
-std::unique_ptr<replication::Checkpointable> Scenario::make_servant_for(int index) {
-  if (config_.make_servant) return config_.make_servant(index);
-  return std::make_unique<app::TestServant>(app::TestServant::Config{
-      config_.state_bytes, config_.reply_bytes, config_.app_exec_time});
+// Plain/intercepted TCP server: only replica 0 serves, with no replicator.
+void Scenario::start_plain_server() {
+  auto& node = group_->node(0);
+  const bool server_intercepted =
+      config_.intercept == interpose::InterceptMode::kServerOnly ||
+      config_.intercept == interpose::InterceptMode::kBoth;
+  if (server_intercepted) {
+    intercepting_acceptor_ = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
+        *channels_, node.process.host(), kServerPort, node.orb);
+  } else {
+    acceptor_ = std::make_unique<orb::DirectServerAcceptor>(*channels_, node.process.host(),
+                                                            kServerPort, node.orb);
+  }
 }
 
-void Scenario::start_replica(int index, bool join_existing) {
-  auto& bundle = *replicas_.at(index);
-  VDEP_ASSERT(!bundle.started);
-  bundle.started = true;
-
-  if (!config_.replicated) {
-    // Plain/intercepted TCP server (only replica 0 serves).
-    const bool server_intercepted =
-        config_.intercept == interpose::InterceptMode::kServerOnly ||
-        config_.intercept == interpose::InterceptMode::kBoth;
-    if (server_intercepted) {
-      bundle.intercepting_acceptor = std::make_unique<interpose::InterceptOnlyServerAcceptor>(
-          *channels_, bundle.process.host(), kServerPort, bundle.orb);
-    } else {
-      bundle.acceptor = std::make_unique<orb::DirectServerAcceptor>(
-          *channels_, bundle.process.host(), kServerPort, bundle.orb);
-    }
+// Replica `index` got a new replicator (boot, growth or recovery): replace
+// its monitoring and adaptation with ones bound to that replicator.
+void Scenario::attach_monitoring(int index, replication::Replicator& replicator) {
+  if (!config_.enable_replicated_state && !config_.adaptation && !config_.health_adaptation) {
     return;
   }
-
-  replication::ReplicatorParams params;
-  params.checkpoint_interval = config_.checkpoint_interval;
-  params.checkpoint_every_requests = config_.checkpoint_every_requests;
-  params.checkpoint_anchor_interval = config_.checkpoint_anchor_interval;
-  params.skip_reply_dedup = config_.skip_reply_dedup;
-  bundle.replicator = std::make_unique<replication::Replicator>(
-      *network_, daemon_on(bundle.process.host()), bundle.process, bundle.orb,
-      *bundle.servant, kAppGroup, params);
-  if (config_.on_replicator_created) {
-    config_.on_replicator_created(index, *bundle.replicator);
+  if (monitoring_.size() <= static_cast<std::size_t>(index)) {
+    monitoring_.resize(static_cast<std::size_t>(index) + 1);
   }
-  if (config_.auto_recover && !bundle.recovery_hooked) {
-    bundle.recovery_hooked = true;
-    bundle.process.subscribe_restart([this, index](ProcessId) {
-      // The restart fires from inside a fault-plan event; rebuild the stack
-      // on a fresh event, and only if the process is still up and nothing
-      // else (a manual recover_replica) already rebuilt it by then.
-      kernel_->post(kTimeZero, [this, index] {
-        auto& b = *replicas_.at(index);
-        if (b.process.alive() &&
-            b.replicator_incarnation != b.process.incarnation()) {
-          recover_replica(index);
-        }
-      });
-    });
-  }
-  bundle.replicator_incarnation = bundle.process.incarnation();
-  bundle.replicator->start(config_.style, join_existing);
-
+  auto& m = monitoring_[static_cast<std::size_t>(index)];
+  m.adaptation.reset();
+  m.state.reset();
   if (config_.enable_replicated_state || config_.adaptation) {
-    auto* replicator = bundle.replicator.get();
-    auto& process = bundle.process;
+    auto& process = group_->node(index).process;
     auto& network = *network_;
-    bundle.state = std::make_unique<monitor::ReplicatedStateObject>(
+    m.state = std::make_unique<monitor::ReplicatedStateObject>(
         daemon_on(process.host()), process, kMonitorGroup,
-        [replicator, &process, &network] {
+        [&replicator, &process, &network] {
           monitor::StateEntry entry;
           entry.cpu_load = network.cpu(process.host()).load_since_last_sample();
-          entry.request_rate = replicator->observed_request_rate();
+          entry.request_rate = replicator.observed_request_rate();
           return entry;
         });
-    bundle.state->start();
+    m.state->start();
   }
   if (config_.adaptation) {
-    bundle.adaptation = std::make_unique<adaptive::AdaptationManager>(
-        *bundle.replicator, *bundle.state,
+    m.adaptation = std::make_unique<adaptive::AdaptationManager>(
+        replicator, *m.state,
         std::make_unique<adaptive::RateThresholdPolicy>(*config_.adaptation));
-    bundle.adaptation->start();
+    m.adaptation->start();
   } else if (config_.health_adaptation) {
-    bundle.adaptation = std::make_unique<adaptive::AdaptationManager>(
-        *bundle.replicator,
+    m.adaptation = std::make_unique<adaptive::AdaptationManager>(
+        replicator,
         std::make_unique<adaptive::HealthThresholdPolicy>(*config_.health_adaptation));
-    bundle.adaptation->set_health_source(health_.get());
-    bundle.adaptation->start();
+    m.adaptation->set_health_source(health_.get());
+    m.adaptation->start();
   }
 }
 
@@ -258,16 +225,11 @@ monitor::health::HealthMonitor& Scenario::health() {
   return *health_;
 }
 
-gcs::Daemon& Scenario::daemon_on(NodeId host) {
-  for (auto& d : daemons_) {
-    if (d->host() == host) return *d;
-  }
-  throw std::out_of_range("no daemon on host " + host.str());
-}
+gcs::Daemon& Scenario::daemon_on(NodeId host) { return harness::daemon_on(daemons_, host); }
 
 orb::ObjectRef Scenario::object_ref() const {
   orb::ObjectRef ref;
-  ref.object_key = kObjectKey;
+  ref.object_key = ReplicaGroup::kObjectKey;
   ref.direct = orb::DirectProfile{NodeId{static_cast<std::uint64_t>(config_.clients)},
                                   kServerPort};
   ref.group = orb::GroupProfile{kAppGroup};
@@ -275,150 +237,41 @@ orb::ObjectRef Scenario::object_ref() const {
 }
 
 replication::Replicator& Scenario::replicator(int index) {
-  auto& r = replicas_.at(index)->replicator;
+  auto& r = group_->node(index).replicator;
   VDEP_ASSERT_MSG(r != nullptr, "not a replicated scenario");
   return *r;
 }
 
-replication::Checkpointable& Scenario::app(int index) {
-  return *replicas_.at(index)->servant;
-}
+replication::Checkpointable& Scenario::app(int index) { return *group_->node(index).servant; }
 
 app::TestServant& Scenario::servant(int index) {
-  auto* typed = dynamic_cast<app::TestServant*>(replicas_.at(index)->servant.get());
+  auto* typed = dynamic_cast<app::TestServant*>(group_->node(index).servant.get());
   VDEP_ASSERT_MSG(typed != nullptr, "scenario uses a custom servant; call app()");
   return *typed;
 }
 
-sim::Process& Scenario::replica_process(int index) { return replicas_.at(index)->process; }
+sim::Process& Scenario::replica_process(int index) { return group_->node(index).process; }
 
-ProcessId Scenario::replica_pid(int index) const { return replicas_.at(index)->process.id(); }
+ProcessId Scenario::replica_pid(int index) const { return group_->node(index).process.id(); }
 
-NodeId Scenario::replica_host(int index) const { return replicas_.at(index)->process.host(); }
-
-ProcessId Scenario::client_pid(int index) const { return clients_.at(index)->process.id(); }
-
-int Scenario::live_replicas() const {
-  int n = 0;
-  for (const auto& r : replicas_) {
-    if (r->live()) ++n;
-  }
-  return n;
-}
-
-Scenario::ReplicaBundle& Scenario::first_live_replica() {
-  for (auto& r : replicas_) {
-    if (r->live()) return *r;
-  }
-  throw std::runtime_error("no live replica");
-}
-
-const Scenario::ReplicaBundle& Scenario::first_live_replica() const {
-  for (const auto& r : replicas_) {
-    if (r->live()) return *r;
-  }
-  throw std::runtime_error("no live replica");
-}
+NodeId Scenario::replica_host(int index) const { return group_->node(index).process.host(); }
 
 void Scenario::arm_faults() {
   if (faults_armed_ || fault_plan_.empty()) return;
   faults_armed_ = true;
   std::vector<sim::Process*> processes;
   for (auto& d : daemons_) processes.push_back(d.get());
-  for (auto& r : replicas_) processes.push_back(&r->process);
+  for (const auto& n : group_->nodes()) processes.push_back(&n->process);
   for (auto& c : clients_) processes.push_back(&c->process);
   fault_plan_.arm(*kernel_, *network_, std::move(processes));
-}
-
-void Scenario::recover_replica(int index) {
-  VDEP_ASSERT_MSG(config_.replicated, "recovery needs a replicated scenario");
-  auto& bundle = *replicas_.at(index);
-  if (!bundle.process.alive()) bundle.process.restart();
-  // The new incarnation lost all volatile state: monitoring, replicator and
-  // servant are rebuilt from scratch, and the replicator joins the running
-  // group as a state-transfer joiner.
-  bundle.adaptation.reset();
-  bundle.state.reset();
-  bundle.replicator.reset();
-  bundle.poa.deactivate(kObjectKey);
-  bundle.servant = make_servant_for(index);
-  bundle.poa.activate(kObjectKey, *bundle.servant);
-  bundle.started = false;
-  start_replica(index, /*join_existing=*/true);
-}
-
-// --- knob actuation -------------------------------------------------------------
-
-void Scenario::set_style(replication::ReplicationStyle style) {
-  first_live_replica().replicator->request_style_switch(style);
-}
-
-replication::ReplicationStyle Scenario::style() const {
-  return first_live_replica().replicator->style();
-}
-
-void Scenario::set_replica_count(int replicas) {
-  VDEP_ASSERT(replicas >= 1);
-  int live = live_replicas();
-  // Shrink: retire the most junior live replicas.
-  for (auto it = replicas_.rbegin(); it != replicas_.rend() && live > replicas; ++it) {
-    if (!(*it)->live()) continue;
-    (*it)->replicator->stop();
-    --live;
-  }
-  // Grow: start new replicas on replica hosts without a live resident.
-  while (live < replicas) {
-    NodeId free_host;
-    bool found = false;
-    for (int r = 0; r < config_.max_replicas && !found; ++r) {
-      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-      const bool occupied = std::any_of(
-          replicas_.begin(), replicas_.end(),
-          [host](const auto& b) { return b->live() && b->process.host() == host; });
-      if (!occupied) {
-        free_host = host;
-        found = true;
-      }
-    }
-    if (!found) throw std::runtime_error("no free replica host; raise max_replicas");
-    const int index = static_cast<int>(replicas_.size());
-    replicas_.push_back(std::make_unique<ReplicaBundle>(*this, index, free_host,
-                                                        ProcessId{next_pid_++}));
-    start_replica(index, /*join_existing=*/true);
-    ++live;
-  }
-}
-
-int Scenario::replica_count() const { return live_replicas(); }
-
-void Scenario::set_checkpoint_interval(SimTime interval) {
-  config_.checkpoint_interval = interval;
-  for (auto& r : replicas_) {
-    if (r->live() && r->replicator) r->replicator->set_checkpoint_interval(interval);
-  }
-}
-
-SimTime Scenario::checkpoint_interval() const { return config_.checkpoint_interval; }
-
-void Scenario::set_checkpoint_anchor_interval(std::uint32_t interval) {
-  config_.checkpoint_anchor_interval = interval;
-  for (auto& r : replicas_) {
-    if (r->live() && r->replicator) {
-      r->replicator->set_checkpoint_anchor_interval(interval);
-    }
-  }
-}
-
-std::uint32_t Scenario::checkpoint_anchor_interval() const {
-  return config_.checkpoint_anchor_interval;
 }
 
 void Scenario::drain(SimTime extra) { kernel_->run_until(kernel_->now() + extra); }
 
 std::vector<std::uint64_t> Scenario::live_state_digests() const {
   std::vector<std::uint64_t> out;
-  for (const auto& r : replicas_) {
-    if (r->live()) out.push_back(r->servant->state_digest());
+  for (const auto& n : group_->nodes()) {
+    if (n->live()) out.push_back(n->servant->state_digest());
   }
   return out;
 }
@@ -489,7 +342,7 @@ ExperimentResult Scenario::run_closed_loop(CycleConfig cycle) {
         to_sec(window);
     result.throughput_rps = static_cast<double>(merged.count()) / to_sec(window);
   }
-  result.faults_tolerated = config_.replicated ? live_replicas() - 1 : 0;
+  result.faults_tolerated = config_.replicated ? group_->live_count() - 1 : 0;
   return result;
 }
 
@@ -520,10 +373,9 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
   const SimTime sample_end = kClientStartTime + config.duration;
   std::function<void()> sample = [&] {
     if (kernel_->now() > sample_end) return;
-    auto& head = first_live_replica();
-    result.observed_rate.record(kernel_->now(),
-                                head.replicator->observed_request_rate());
-    const auto style = head.replicator->style();
+    auto& head = *group_->first_live().replicator;
+    result.observed_rate.record(kernel_->now(), head.observed_request_rate());
+    const auto style = head.style();
     const bool active_family = style == replication::ReplicationStyle::kActive ||
                                style == replication::ReplicationStyle::kSemiActive;
     result.style_series.record(kernel_->now(), active_family ? 1.0 : 0.0);
@@ -553,8 +405,8 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
       to_sec(config.duration);
   result.totals.throughput_rps =
       static_cast<double>(result.totals.completed) / to_sec(config.duration);
-  result.totals.faults_tolerated = live_replicas() - 1;
-  result.switches = first_live_replica().replicator->switch_history();
+  result.totals.faults_tolerated = group_->live_count() - 1;
+  result.switches = group_->first_live().replicator->switch_history();
   return result;
 }
 

@@ -4,9 +4,9 @@
 // one process per host, a group-communication daemon on every host, clients
 // on their own machines ("we were limited to eight computers").
 //
-// Scenario also implements knobs::ReplicaGroupController, so the knob layer
-// can actuate live changes: style switches, replica growth/shrink with state
-// transfer, checkpoint-interval changes.
+// The server group is a harness::ReplicaGroup; group() hands it to the knob
+// layer, which actuates live changes through it: style switches, replica
+// growth/shrink with state transfer, checkpoint-interval changes.
 #pragma once
 
 #include <memory>
@@ -16,8 +16,8 @@
 #include "adaptive/adaptation_manager.hpp"
 #include "app/test_app.hpp"
 #include "app/workload.hpp"
+#include "harness/replica_group.hpp"
 #include "interpose/interposer.hpp"
-#include "knobs/low_level.hpp"
 #include "monitor/health/health_monitor.hpp"
 #include "net/fault_plan.hpp"
 #include "net/network.hpp"
@@ -54,7 +54,6 @@ struct ScenarioConfig {
   // Incremental checkpointing: every K-th checkpoint is a full anchor, the
   // rest are dirty-set deltas. 1 = every checkpoint full (seed protocol).
   std::uint32_t checkpoint_anchor_interval = 1;
-  gcs::DaemonParams daemon;
 
   // Monitoring / adaptation (Fig. 6).
   bool enable_replicated_state = false;
@@ -62,12 +61,9 @@ struct ScenarioConfig {
 
   // Live health plane: a HealthMonitor attached to every daemon, windowed
   // telemetry cut from the scenario registry, per-request latency observed
-  // into "service.latency_us"/"service.requests", a default service SLO
-  // (override via `slos`) and per-replica-host CPU queue-depth probes.
+  // into "service.latency_us"/"service.requests", one "service" SLO and
+  // per-replica-host CPU queue-depth probes.
   bool health = false;
-  monitor::health::HealthParams health_params;
-  std::vector<monitor::health::SloSpec> slos;  // empty = one default SLO
-  double cpu_backlog_threshold_us = 100'000.0;
   // Health-driven adaptation: each replica gets an AdaptationManager with
   // the HealthMonitor as signal source and a HealthThresholdPolicy (implies
   // `health`).
@@ -88,7 +84,7 @@ struct ScenarioConfig {
 
   // When true, a replica process restarted by the fault plan automatically
   // rebuilds its replication stack and rejoins the group with a state
-  // transfer (see recover_replica).
+  // transfer (see ReplicaGroup::recover).
   bool auto_recover = false;
 
   // TEST ONLY — forwarded to ReplicatorParams::skip_reply_dedup (the chaos
@@ -124,10 +120,10 @@ struct OpenLoopResult {
   std::vector<replication::Replicator::SwitchRecord> switches;
 };
 
-class Scenario final : public knobs::ReplicaGroupController {
+class Scenario final {
  public:
   explicit Scenario(ScenarioConfig config);
-  ~Scenario() override;
+  ~Scenario();
 
   // --- runs ---------------------------------------------------------------------
   struct CycleConfig {
@@ -151,14 +147,8 @@ class Scenario final : public knobs::ReplicaGroupController {
   // or call arm_faults() yourself when driving the kernel manually.
   net::FaultPlan& fault_plan() { return fault_plan_; }
   void arm_faults();
-  // Rebuilds a crashed (or just-restarted) replica's stack as a fresh
-  // incarnation: blank servant, new replicator joining the running group
-  // with a state transfer. Called automatically after a fault-plan restart
-  // when config.auto_recover is set.
-  void recover_replica(int index);
   [[nodiscard]] ProcessId replica_pid(int index) const;
   [[nodiscard]] NodeId replica_host(int index) const;
-  [[nodiscard]] ProcessId client_pid(int index) const;
 
   // --- accessors ----------------------------------------------------------------
   [[nodiscard]] sim::Kernel& kernel() { return *kernel_; }
@@ -173,21 +163,13 @@ class Scenario final : public knobs::ReplicaGroupController {
   [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] orb::ObjectRef object_ref() const;
-  [[nodiscard]] int live_replicas() const;
+  // The server group: membership, recovery and the knob controller.
+  [[nodiscard]] ReplicaGroup& group() { return *group_; }
+  [[nodiscard]] const ReplicaGroup& group() const { return *group_; }
   // Health plane (health() asserts config.health / health_adaptation).
   [[nodiscard]] monitor::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] bool health_enabled() const { return health_ != nullptr; }
   [[nodiscard]] monitor::health::HealthMonitor& health();
-
-  // --- knobs::ReplicaGroupController ----------------------------------------------
-  void set_style(replication::ReplicationStyle style) override;
-  [[nodiscard]] replication::ReplicationStyle style() const override;
-  void set_replica_count(int replicas) override;
-  [[nodiscard]] int replica_count() const override;
-  void set_checkpoint_interval(SimTime interval) override;
-  [[nodiscard]] SimTime checkpoint_interval() const override;
-  void set_checkpoint_anchor_interval(std::uint32_t interval) override;
-  [[nodiscard]] std::uint32_t checkpoint_anchor_interval() const override;
 
   // Lets in-flight work settle after a run stopped at the last client reply
   // (slower replicas may still have executions queued). Call before
@@ -198,21 +180,28 @@ class Scenario final : public knobs::ReplicaGroupController {
   [[nodiscard]] std::vector<std::uint64_t> live_state_digests() const;
 
  private:
-  struct ReplicaBundle;
   struct ClientBundle;
+  // A replica's monitoring and adaptation, rebuilt with its replicator.
+  struct Monitoring {
+    std::unique_ptr<monitor::ReplicatedStateObject> state;
+    std::unique_ptr<adaptive::AdaptationManager> adaptation;
+  };
 
   void build();
-  void start_replica(int index, bool join_existing);
-  [[nodiscard]] std::unique_ptr<replication::Checkpointable> make_servant_for(int index);
-  ReplicaBundle& first_live_replica();
-  const ReplicaBundle& first_live_replica() const;
+  void start_plain_server();
+  void attach_monitoring(int index, replication::Replicator& replicator);
 
   ScenarioConfig config_;
   std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::ChannelManager> channels_;
-  std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
-  std::vector<std::unique_ptr<ReplicaBundle>> replicas_;
+  Daemons daemons_;
+  std::unique_ptr<ReplicaGroup> group_;
+  std::vector<Monitoring> monitoring_;  // by replica index
+  // Non-replicated modes (Fig. 4 baseline / interception-only bars): replica
+  // 0's ORB behind a plain or intercepted TCP acceptor, no replicator.
+  std::unique_ptr<orb::DirectServerAcceptor> acceptor_;
+  std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor_;
   std::vector<std::unique_ptr<ClientBundle>> clients_;
   monitor::MetricsRegistry metrics_;
   std::unique_ptr<monitor::health::HealthMonitor> health_;

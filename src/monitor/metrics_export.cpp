@@ -1,8 +1,8 @@
-#include "obs/metrics_export.hpp"
+#include "monitor/metrics_export.hpp"
 
 #include <cstdio>
 
-namespace vdep::obs {
+namespace vdep::monitor {
 
 namespace {
 
@@ -20,7 +20,7 @@ void append_key(std::string& out, const std::string& name) {
 
 }  // namespace
 
-std::string to_metrics_json(const monitor::MetricsRegistry& registry) {
+std::string to_metrics_json(const MetricsRegistry& registry) {
   std::string out = "{\n";
 
   out += "  \"counters\": {\n";
@@ -66,4 +66,4 @@ std::string to_metrics_json(const monitor::MetricsRegistry& registry) {
   return out;
 }
 
-}  // namespace vdep::obs
+}  // namespace vdep::monitor

@@ -3,17 +3,14 @@
 //
 // Keys appear in sorted (std::map) order and numbers render with fixed
 // precision, so the same registry state always produces the same bytes.
-// Note on layering: the declaration lives here with the other exporters,
-// but the definition is compiled into vdep_monitor (the registry type's
-// library) — vdep_obs itself does not depend on the monitor layer.
 #pragma once
 
 #include <string>
 
 #include "monitor/metrics.hpp"
 
-namespace vdep::obs {
+namespace vdep::monitor {
 
-[[nodiscard]] std::string to_metrics_json(const monitor::MetricsRegistry& registry);
+[[nodiscard]] std::string to_metrics_json(const MetricsRegistry& registry);
 
-}  // namespace vdep::obs
+}  // namespace vdep::monitor

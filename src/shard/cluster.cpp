@@ -1,6 +1,7 @@
 #include "shard/cluster.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -10,7 +11,7 @@ namespace vdep::shard {
 namespace {
 constexpr std::uint64_t kDirectoryGroupValue = 1;
 constexpr std::uint64_t kFirstDataGroupValue = 10;
-constexpr ObjectId kObjectKey{1};
+constexpr int kDirectoryReplicas = 2;
 constexpr SimTime kBootStagger = msec(1);
 constexpr std::uint64_t kFirstDaemonPid = 100;
 constexpr std::uint64_t kMigratorPid = 4000;
@@ -20,113 +21,6 @@ replication::ReplicationStyle style_of(const ShardPolicy& policy) {
   return static_cast<replication::ReplicationStyle>(policy.style);
 }
 }  // namespace
-
-// One replica of one group (directory or shard), same shape as a
-// harness::Scenario replica: process + servant + POA + server ORB +
-// replicator.
-struct ShardedCluster::ReplicaNode {
-  ReplicaNode(ShardedCluster& owner, int index, NodeId host, ProcessId pid,
-              std::string name, std::unique_ptr<replication::Checkpointable> app)
-      : index(index),
-        process(owner.kernel(), pid, host, std::move(name)),
-        servant(std::move(app)),
-        orb(owner.network(), process, poa) {
-    poa.activate(kObjectKey, *servant);
-  }
-
-  int index;
-  sim::Process process;
-  std::unique_ptr<replication::Checkpointable> servant;
-  orb::Poa poa;
-  orb::ServerOrb orb;
-  std::unique_ptr<replication::Replicator> replicator;
-  bool started = false;
-  bool recovery_hooked = false;
-  std::uint64_t replicator_incarnation = 0;
-
-  [[nodiscard]] bool live() const {
-    return started && process.alive() && replicator != nullptr &&
-           !replicator->stopped();
-  }
-};
-
-// Adapts one replica group to the knob layer's actuation interface, so each
-// shard's policy can be tuned independently.
-struct ShardedCluster::GroupBundle final : knobs::ReplicaGroupController {
-  GroupBundle(ShardedCluster& owner, GroupId id, ShardPolicy policy,
-              bool is_directory)
-      : owner(owner), id(id), policy(policy), is_directory(is_directory) {}
-
-  ShardedCluster& owner;
-  GroupId id;
-  ShardPolicy policy;
-  bool is_directory;
-  SimTime ckpt_interval{calib::kDefaultCheckpointInterval};
-  std::vector<std::unique_ptr<ReplicaNode>> nodes;
-
-  [[nodiscard]] ReplicaNode& first_live() {
-    for (auto& n : nodes) {
-      if (n->live()) return *n;
-    }
-    throw std::runtime_error("group " + std::to_string(id.value()) +
-                             ": no live replica");
-  }
-
-  [[nodiscard]] int live_count() const {
-    int n = 0;
-    for (const auto& node : nodes) {
-      if (node->live()) ++n;
-    }
-    return n;
-  }
-
-  // --- knobs::ReplicaGroupController ---------------------------------------
-  void set_style(replication::ReplicationStyle style) override {
-    policy.style = static_cast<std::uint8_t>(style);
-    first_live().replicator->request_style_switch(style);
-  }
-  [[nodiscard]] replication::ReplicationStyle style() const override {
-    for (const auto& n : nodes) {
-      if (n->live()) return n->replicator->style();
-    }
-    return style_of(policy);
-  }
-  void set_replica_count(int replicas) override {
-    VDEP_ASSERT(replicas >= 1);
-    policy.replicas = static_cast<std::uint8_t>(replicas);
-    int live = live_count();
-    for (auto it = nodes.rbegin(); it != nodes.rend() && live > replicas; ++it) {
-      if (!(*it)->live()) continue;
-      (*it)->replicator->stop();
-      --live;
-    }
-    while (live < replicas) {
-      owner.add_node(*this, owner.pick_server_host());
-      owner.start_node(*this, static_cast<int>(nodes.size()) - 1,
-                       /*join_existing=*/true);
-      ++live;
-    }
-  }
-  [[nodiscard]] int replica_count() const override { return live_count(); }
-  void set_checkpoint_interval(SimTime interval) override {
-    ckpt_interval = interval;
-    for (auto& n : nodes) {
-      if (n->live()) n->replicator->set_checkpoint_interval(interval);
-    }
-  }
-  [[nodiscard]] SimTime checkpoint_interval() const override {
-    return ckpt_interval;
-  }
-  void set_checkpoint_anchor_interval(std::uint32_t interval) override {
-    policy.checkpoint_anchor_interval = interval;
-    for (auto& n : nodes) {
-      if (n->live()) n->replicator->set_checkpoint_anchor_interval(interval);
-    }
-  }
-  [[nodiscard]] std::uint32_t checkpoint_anchor_interval() const override {
-    return policy.checkpoint_anchor_interval;
-  }
-};
 
 struct ShardedCluster::ClientBundle {
   ClientBundle(ShardedCluster& owner, int index, NodeId host, ProcessId pid)
@@ -171,8 +65,7 @@ void ShardedCluster::build() {
   std::uint64_t daemon_pid = kFirstDaemonPid;
   for (NodeId host : hosts_) {
     daemons_.push_back(std::make_unique<gcs::Daemon>(
-        *kernel_, *network_, ProcessId{daemon_pid++}, host, hosts_,
-        config_.daemon));
+        *kernel_, *network_, ProcessId{daemon_pid++}, host, hosts_, gcs::DaemonParams{}));
   }
   for (auto& d : daemons_) d->boot();
 
@@ -183,34 +76,30 @@ void ShardedCluster::build() {
 
   // Directory group.
   ShardPolicy dir_policy;
-  dir_policy.style = static_cast<std::uint8_t>(config_.directory_style);
-  dir_policy.replicas = static_cast<std::uint8_t>(config_.directory_replicas);
+  dir_policy.style = static_cast<std::uint8_t>(replication::ReplicationStyle::kActive);
+  dir_policy.replicas = kDirectoryReplicas;
   dir_policy.checkpoint_every_requests = 10;
-  auto& directory = add_group(GroupId{kDirectoryGroupValue}, dir_policy,
-                              /*is_directory=*/true);
-  for (int r = 0; r < config_.directory_replicas; ++r) {
-    add_node(directory,
-             server_hosts_[static_cast<std::size_t>(r) % server_hosts_.size()]);
+  auto& directory = add_group(GroupId{kDirectoryGroupValue}, dir_policy);
+  for (int r = 0; r < kDirectoryReplicas; ++r) {
+    directory.add_node(server_hosts_[static_cast<std::size_t>(r) % server_hosts_.size()]);
   }
 
   // One data group per shard, replicas co-located round-robin on the server
   // hosts.
-  std::size_t placement = static_cast<std::size_t>(config_.directory_replicas);
+  std::size_t placement = kDirectoryReplicas;
   for (const auto& entry : initial_map_.entries()) {
-    auto& group = add_group(entry.group, entry.policy, /*is_directory=*/false);
+    auto& group = add_group(entry.group, entry.policy);
     for (int r = 0; r < entry.policy.replicas; ++r) {
-      add_node(group, server_hosts_[placement++ % server_hosts_.size()]);
+      group.add_node(server_hosts_[placement++ % server_hosts_.size()]);
     }
   }
 
   // Staggered boots: one replica per tick so views form without join storms.
   int boot_slot = 0;
-  for (auto& group : groups_) {
-    for (std::size_t n = 0; n < group->nodes.size(); ++n) {
-      GroupBundle* g = group.get();
-      const int node = static_cast<int>(n);
-      kernel_->post(kBootStagger * (++boot_slot), [this, g, node] {
-        start_node(*g, node, /*join_existing=*/false);
+  for (auto& [id, group] : groups_) {
+    for (int node = 0; node < group->size(); ++node) {
+      kernel_->post(kBootStagger * (++boot_slot), [g = group.get(), node] {
+        g->start(node, /*join_existing=*/false);
       });
     }
   }
@@ -222,9 +111,9 @@ void ShardedCluster::build() {
     auto client = std::make_unique<ClientBundle>(
         *this, c, host, ProcessId{kFirstClientPid + static_cast<std::uint64_t>(c)});
     client->orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-        *network_, daemon_on(host), client->process, config_.coordinator));
-    ShardRouter::Params rp = config_.router;
-    rp.object_key = kObjectKey;
+        *network_, harness::daemon_on(daemons_, host), client->process));
+    ShardRouter::Params rp;
+    rp.object_key = harness::ReplicaGroup::kObjectKey;
     rp.directory_group = GroupId{kDirectoryGroupValue};
     client->router =
         std::make_unique<ShardRouter>(client->orb, initial_map_, rp, &metrics_);
@@ -233,11 +122,10 @@ void ShardedCluster::build() {
 
   // Migration controller on the (never-faulted) first client host.
   MigrationController::Params mp;
-  mp.object_key = kObjectKey;
+  mp.object_key = harness::ReplicaGroup::kObjectKey;
   mp.directory_group = GroupId{kDirectoryGroupValue};
-  mp.coordinator = config_.coordinator;
   migration_ = std::make_unique<MigrationController>(
-      *network_, daemon_on(hosts_[0]), *kernel_, ProcessId{kMigratorPid},
+      *network_, harness::daemon_on(daemons_, hosts_[0]), *kernel_, ProcessId{kMigratorPid},
       hosts_[0], mp, &metrics_);
 
   metrics_.set_gauge("shard.map_epoch", static_cast<double>(initial_map_.epoch()));
@@ -245,7 +133,7 @@ void ShardedCluster::build() {
 
   if (config_.health) {
     health_ = std::make_unique<monitor::health::HealthMonitor>(
-        *kernel_, metrics_, config_.health_params);
+        *kernel_, metrics_, monitor::health::HealthParams{});
     for (auto& d : daemons_) health_->attach(*d);
     for (const auto& entry : initial_map_.entries()) {
       monitor::health::SloSpec slo;
@@ -254,90 +142,49 @@ void ShardedCluster::build() {
       slo.latency_metric = prefix + ".latency_us";
       slo.request_counter = prefix + ".ops";
       slo.failure_counter = prefix + ".failed";
-      slo.latency_p99_target_us = config_.shard_slo_p99_target_us;
-      slo.availability_target = config_.shard_slo_availability_target;
       health_->add_slo(slo);
     }
     health_->start();
   }
 }
 
-ShardedCluster::GroupBundle& ShardedCluster::add_group(GroupId id,
-                                                       const ShardPolicy& policy,
-                                                       bool is_directory) {
-  groups_.push_back(
-      std::make_unique<GroupBundle>(*this, id, policy, is_directory));
-  groups_.back()->ckpt_interval = config_.checkpoint_interval;
-  return *groups_.back();
-}
-
-std::unique_ptr<replication::Checkpointable> ShardedCluster::make_group_servant(
-    GroupBundle& group, bool blank) {
-  if (group.is_directory) {
-    if (blank) return std::make_unique<DirectoryServant>();
-    return std::make_unique<DirectoryServant>(initial_map_);
-  }
-  if (blank) return std::make_unique<ShardServant>();
-  return std::make_unique<ShardServant>(ShardServant::Config{},
-                                        initial_map_.ranges_of(group.id),
-                                        initial_map_.epoch());
-}
-
-void ShardedCluster::add_node(GroupBundle& group, NodeId host) {
-  const int index = static_cast<int>(group.nodes.size());
-  // Nodes created at t=0 are seeded with the initial map / owned ranges;
-  // anything added later (growth, provisioned split targets) starts blank
-  // and fills in via state transfer or shard.install.
-  const bool seeded = kernel_->now() == kTimeZero;
-  const std::string name = "g" + std::to_string(group.id.value()) + "r" +
-                           std::to_string(index) + "@" +
-                           network_->host_name(host);
-  group.nodes.push_back(std::make_unique<ReplicaNode>(
-      *this, index, host, ProcessId{next_replica_pid_++}, name,
-      make_group_servant(group, /*blank=*/!seeded)));
-}
-
-void ShardedCluster::start_node(GroupBundle& group, int node, bool join_existing) {
-  auto& n = *group.nodes.at(static_cast<std::size_t>(node));
-  VDEP_ASSERT(!n.started);
-  n.started = true;
-
-  replication::ReplicatorParams params;
-  params.checkpoint_interval = group.ckpt_interval;
-  params.checkpoint_every_requests = group.policy.checkpoint_every_requests;
-  params.checkpoint_anchor_interval = group.policy.checkpoint_anchor_interval;
-  n.replicator = std::make_unique<replication::Replicator>(
-      *network_, daemon_on(n.process.host()), n.process, n.orb, *n.servant,
-      group.id, params);
-  if (config_.auto_recover && !n.recovery_hooked) {
-    n.recovery_hooked = true;
-    GroupBundle* g = &group;
-    const int index = node;
-    n.process.subscribe_restart([this, g, index](ProcessId) {
-      kernel_->post(kTimeZero, [this, g, index] {
-        auto& b = *g->nodes.at(static_cast<std::size_t>(index));
-        if (b.process.alive() &&
-            b.replicator_incarnation != b.process.incarnation()) {
-          recover_replica(g->id, index);
-        }
-      });
-    });
-  }
-  n.replicator_incarnation = n.process.incarnation();
-  n.replicator->start(group_style(group), join_existing);
-}
-
-replication::ReplicationStyle ShardedCluster::group_style(
-    const GroupBundle& g) const {
-  return g.is_directory ? config_.directory_style : style_of(g.policy);
+harness::ReplicaGroup& ShardedCluster::add_group(GroupId id, const ShardPolicy& policy) {
+  const bool is_directory = id == GroupId{kDirectoryGroupValue};
+  harness::ReplicaGroup::Config group;
+  group.id = id;
+  group.name_prefix = "g" + std::to_string(id.value()) + "r";
+  group.style = style_of(policy);
+  group.replicator.checkpoint_interval = config_.checkpoint_interval;
+  group.replicator.checkpoint_every_requests = policy.checkpoint_every_requests;
+  group.replicator.checkpoint_anchor_interval = policy.checkpoint_anchor_interval;
+  group.auto_recover = true;
+  // Members created at t=0 are seeded with the initial map / owned ranges;
+  // anything built later (growth, recovery, provisioned split targets)
+  // starts blank and fills in via state transfer or shard.install.
+  group.make_servant = [this, id,
+                        is_directory](int) -> std::unique_ptr<replication::Checkpointable> {
+    const bool seeded = kernel_->now() == kTimeZero;
+    if (is_directory) {
+      if (!seeded) return std::make_unique<DirectoryServant>();
+      return std::make_unique<DirectoryServant>(initial_map_);
+    }
+    if (!seeded) return std::make_unique<ShardServant>();
+    return std::make_unique<ShardServant>(ShardServant::Config{}, initial_map_.ranges_of(id),
+                                          initial_map_.epoch());
+  };
+  group.pick_growth_host = [this] { return pick_server_host(); };
+  auto& slot = groups_[id.value()];
+  slot = std::make_unique<harness::ReplicaGroup>(*kernel_, *network_, daemons_,
+                                                 next_replica_pid_, std::move(group));
+  return *slot;
 }
 
 NodeId ShardedCluster::pick_server_host() {
   // Fewest resident replicas wins; ties break on host order (deterministic).
   std::map<std::uint64_t, int> load;
   for (NodeId h : server_hosts_) load[h.value()] = 0;
-  for (const auto& g : groups_) {
-    for (const auto& n : g->nodes) {
+  for (const auto& [id, g] : groups_) {
+    for (const auto& n : g->nodes()) {
       if (n->live() || !n->started) ++load[n->process.host().value()];
     }
   }
@@ -352,25 +199,12 @@ NodeId ShardedCluster::pick_server_host() {
   return best;
 }
 
-gcs::Daemon& ShardedCluster::daemon_on(NodeId host) {
-  for (auto& d : daemons_) {
-    if (d->host() == host) return *d;
-  }
-  throw std::out_of_range("no daemon on that host");
+harness::ReplicaGroup& ShardedCluster::bundle(GroupId group) {
+  return *groups_.at(group.value());
 }
 
-ShardedCluster::GroupBundle& ShardedCluster::bundle(GroupId group) {
-  for (auto& g : groups_) {
-    if (g->id == group) return *g;
-  }
-  throw std::out_of_range("unknown group " + std::to_string(group.value()));
-}
-
-const ShardedCluster::GroupBundle& ShardedCluster::bundle(GroupId group) const {
-  for (const auto& g : groups_) {
-    if (g->id == group) return *g;
-  }
-  throw std::out_of_range("unknown group " + std::to_string(group.value()));
+const harness::ReplicaGroup& ShardedCluster::bundle(GroupId group) const {
+  return *groups_.at(group.value());
 }
 
 // --- directory ----------------------------------------------------------------
@@ -380,8 +214,7 @@ GroupId ShardedCluster::directory_group() const {
 }
 
 const ShardMap& ShardedCluster::directory_map() const {
-  const auto& dir = bundle(GroupId{kDirectoryGroupValue});
-  for (const auto& n : dir.nodes) {
+  for (const auto& n : bundle(GroupId{kDirectoryGroupValue}).nodes()) {
     if (!n->live()) continue;
     auto* servant = dynamic_cast<const DirectoryServant*>(n->servant.get());
     VDEP_ASSERT_MSG(servant != nullptr, "directory node hosts a DirectoryServant");
@@ -394,70 +227,44 @@ const ShardMap& ShardedCluster::directory_map() const {
 
 std::vector<GroupId> ShardedCluster::data_groups() const {
   std::vector<GroupId> out;
-  for (const auto& g : groups_) {
-    if (!g->is_directory) out.push_back(g->id);
+  for (const auto& [id, g] : groups_) {
+    if (id != kDirectoryGroupValue) out.push_back(g->id());
   }
   return out;
 }
 
 int ShardedCluster::replicas_in(GroupId group) const {
-  return static_cast<int>(bundle(group).nodes.size());
+  return bundle(group).size();
 }
 
 replication::Replicator& ShardedCluster::replicator(GroupId group, int node) {
-  auto& r = bundle(group).nodes.at(static_cast<std::size_t>(node))->replicator;
+  auto& r = bundle(group).node(node).replicator;
   VDEP_ASSERT_MSG(r != nullptr, "replica not started yet");
   return *r;
 }
 
 ShardServant& ShardedCluster::shard_servant(GroupId group, int node) {
-  auto& b = bundle(group);
-  VDEP_ASSERT_MSG(!b.is_directory, "directory group has no shard servant");
-  auto* servant = dynamic_cast<ShardServant*>(
-      b.nodes.at(static_cast<std::size_t>(node))->servant.get());
+  VDEP_ASSERT_MSG(group != directory_group(), "directory group has no shard servant");
+  auto* servant = dynamic_cast<ShardServant*>(bundle(group).node(node).servant.get());
   VDEP_ASSERT_MSG(servant != nullptr, "shard node hosts a ShardServant");
   return *servant;
 }
 
 sim::Process& ShardedCluster::replica_process(GroupId group, int node) {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->process;
+  return bundle(group).node(node).process;
 }
 
 ProcessId ShardedCluster::replica_pid(GroupId group, int node) const {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->process.id();
+  return bundle(group).node(node).process.id();
 }
 
 bool ShardedCluster::replica_live(GroupId group, int node) const {
-  return bundle(group).nodes.at(static_cast<std::size_t>(node))->live();
-}
-
-void ShardedCluster::recover_replica(GroupId group, int node) {
-  auto& g = bundle(group);
-  auto& n = *g.nodes.at(static_cast<std::size_t>(node));
-  if (!n.process.alive()) n.process.restart();
-  n.replicator.reset();
-  n.poa.deactivate(kObjectKey);
-  n.servant = make_group_servant(g, /*blank=*/true);
-  n.poa.activate(kObjectKey, *n.servant);
-  n.started = false;
-  start_node(g, node, /*join_existing=*/true);
+  return bundle(group).live(node);
 }
 
 // --- knobs ----------------------------------------------------------------------
 
-knobs::ReplicaGroupController& ShardedCluster::controller(GroupId group) {
-  return bundle(group);
-}
-
-knobs::VersatileDependability& ShardedCluster::vd(GroupId group) {
-  auto it = vds_.find(group.value());
-  if (it == vds_.end()) {
-    it = vds_.emplace(group.value(), std::make_unique<knobs::VersatileDependability>(
-                                         bundle(group)))
-             .first;
-  }
-  return *it->second;
-}
+harness::ReplicaGroup& ShardedCluster::controller(GroupId group) { return bundle(group); }
 
 // --- clients --------------------------------------------------------------------
 
@@ -469,23 +276,17 @@ orb::ClientOrb& ShardedCluster::client_orb(int client) {
   return clients_.at(static_cast<std::size_t>(client))->orb;
 }
 
-ProcessId ShardedCluster::client_pid(int client) const {
-  return clients_.at(static_cast<std::size_t>(client))->process.id();
-}
-
 // --- migration ------------------------------------------------------------------
 
 GroupId ShardedCluster::provision_group(const ShardPolicy& policy) {
   const GroupId id{next_group_value_++};
-  auto& group = add_group(id, policy, /*is_directory=*/false);
-  for (int r = 0; r < policy.replicas; ++r) add_node(group, pick_server_host());
+  auto& group = add_group(id, policy);
+  for (int r = 0; r < policy.replicas; ++r) group.add_node(pick_server_host());
   // The first member founds the (empty) group; the rest join it and catch up
   // by state transfer, so a later install reaches every member's state.
-  for (std::size_t n = 0; n < group.nodes.size(); ++n) {
-    GroupBundle* g = &group;
-    const int node = static_cast<int>(n);
-    kernel_->post(kBootStagger * static_cast<std::int64_t>(n + 1), [this, g, node] {
-      start_node(*g, node, /*join_existing=*/node > 0);
+  for (int node = 0; node < group.size(); ++node) {
+    kernel_->post(kBootStagger * (node + 1), [g = &group, node] {
+      g->start(node, /*join_existing=*/node > 0);
     });
   }
   return id;
@@ -504,8 +305,8 @@ void ShardedCluster::arm_faults() {
   if (faults_armed_ || fault_plan_.empty()) return;
   faults_armed_ = true;
   std::vector<sim::Process*> processes;
-  for (auto& g : groups_) {
-    for (auto& n : g->nodes) processes.push_back(&n->process);
+  for (auto& [id, g] : groups_) {
+    for (const auto& n : g->nodes()) processes.push_back(&n->process);
   }
   for (auto& c : clients_) processes.push_back(&c->process);
   fault_plan_.arm(*kernel_, *network_, processes);

@@ -6,17 +6,15 @@
 // co-located round-robin on a bounded set of server hosts, so 32 shards do
 // not need 64 machines (the daemon mesh cost grows with hosts, not groups).
 //
-// Per-shard knob actuation: controller(group) adapts one group to the
-// knobs::ReplicaGroupController interface and vd(group) wraps it in a
-// VersatileDependability facade, so availability/scalability synthesis runs
-// independently per shard.
+// Every group, directory and shards alike, is a harness::ReplicaGroup: the
+// same replica stack harness::Scenario runs. controller(group) hands one out
+// to the knob layer, so each shard's policy is tuned independently.
 #pragma once
 
 #include <map>
 #include <memory>
 
-#include "gcs/daemon.hpp"
-#include "knobs/versatile.hpp"
+#include "harness/replica_group.hpp"
 #include "monitor/health/health_monitor.hpp"
 #include "net/fault_plan.hpp"
 #include "replication/replicator.hpp"
@@ -30,26 +28,16 @@ struct ShardedClusterConfig {
   std::uint64_t seed = 1;
   int shards = 4;
   ShardPolicy default_policy{};  // style/replicas/checkpointing per shard
-  int directory_replicas = 2;
-  replication::ReplicationStyle directory_style =
-      replication::ReplicationStyle::kActive;
   int server_hosts = 8;
   int clients = 2;
   int client_hosts = 2;
   SimTime checkpoint_interval = calib::kDefaultCheckpointInterval;
-  gcs::DaemonParams daemon;
-  replication::ClientCoordinatorParams coordinator;
-  ShardRouter::Params router;  // directory_group/object_key filled in build
   bool tracing = false;
-  bool auto_recover = true;
 
   // Live health plane: a HealthMonitor attached to every daemon plus one SLO
   // tracker per shard ("shard.<id>" over the per-shard latency/ops/failed
   // metrics that run_workload records when health is on).
   bool health = false;
-  monitor::health::HealthParams health_params;
-  double shard_slo_p99_target_us = 50'000.0;
-  double shard_slo_availability_target = 0.99;
 };
 
 class ShardedCluster {
@@ -83,21 +71,17 @@ class ShardedCluster {
   [[nodiscard]] sim::Process& replica_process(GroupId group, int node);
   [[nodiscard]] ProcessId replica_pid(GroupId group, int node) const;
   [[nodiscard]] bool replica_live(GroupId group, int node) const;
-  void recover_replica(GroupId group, int node);
 
   // --- per-shard knobs ------------------------------------------------------
-  [[nodiscard]] knobs::ReplicaGroupController& controller(GroupId group);
-  [[nodiscard]] knobs::VersatileDependability& vd(GroupId group);
+  // The group itself: knob controller, membership and recovery.
+  [[nodiscard]] harness::ReplicaGroup& controller(GroupId group);
 
   // --- clients --------------------------------------------------------------
   [[nodiscard]] ShardRouter& router(int client);
   [[nodiscard]] orb::ClientOrb& client_orb(int client);
-  [[nodiscard]] ProcessId client_pid(int client) const;
 
   // --- migration ------------------------------------------------------------
   [[nodiscard]] MigrationController& migration() { return *migration_; }
-  // Starts a fresh (empty) replica group for `policy` and returns its id.
-  GroupId provision_group(const ShardPolicy& policy);
   // Provision a target group and split `shard_id` at `split_point` onto it.
   void split_shard(std::uint32_t shard_id, std::uint32_t split_point,
                    const ShardPolicy& policy, MigrationController::Done done = {});
@@ -131,33 +115,28 @@ class ShardedCluster {
   WorkloadResult run_workload(const WorkloadConfig& wc);
 
  private:
-  struct ReplicaNode;
-  struct GroupBundle;
   struct ClientBundle;
 
   void build();
-  [[nodiscard]] std::unique_ptr<replication::Checkpointable> make_group_servant(
-      GroupBundle& group, bool blank);
-  GroupBundle& add_group(GroupId id, const ShardPolicy& policy, bool is_directory);
-  void add_node(GroupBundle& group, NodeId host);
-  void start_node(GroupBundle& group, int node, bool join_existing);
+  harness::ReplicaGroup& add_group(GroupId id, const ShardPolicy& policy);
+  // Starts a fresh (empty) replica group for `policy` and returns its id.
+  GroupId provision_group(const ShardPolicy& policy);
   [[nodiscard]] NodeId pick_server_host();
-  [[nodiscard]] GroupBundle& bundle(GroupId group);
-  [[nodiscard]] const GroupBundle& bundle(GroupId group) const;
-  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
-  [[nodiscard]] replication::ReplicationStyle group_style(const GroupBundle& g) const;
+  [[nodiscard]] harness::ReplicaGroup& bundle(GroupId group);
+  [[nodiscard]] const harness::ReplicaGroup& bundle(GroupId group) const;
 
   ShardedClusterConfig config_;
   std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<net::Network> network_;
   std::vector<NodeId> hosts_;  // clients first, then servers
   std::vector<NodeId> server_hosts_;
-  std::vector<std::unique_ptr<gcs::Daemon>> daemons_;
+  harness::Daemons daemons_;
   ShardMap initial_map_;
-  std::vector<std::unique_ptr<GroupBundle>> groups_;  // [0] is the directory
+  // By group id, which grows with creation: the directory first, then the
+  // shards in map order, then provisioned split targets.
+  std::map<std::uint64_t, std::unique_ptr<harness::ReplicaGroup>> groups_;
   std::vector<std::unique_ptr<ClientBundle>> clients_;
   std::unique_ptr<MigrationController> migration_;
-  std::map<std::uint64_t, std::unique_ptr<knobs::VersatileDependability>> vds_;
   monitor::MetricsRegistry metrics_;
   std::unique_ptr<monitor::health::HealthMonitor> health_;
   net::FaultPlan fault_plan_;

@@ -127,21 +127,21 @@ TEST(Scenario, KnobControllerInterfaceRoundTrips) {
   // Boot the replicas.
   scenario.kernel().run_until(msec(100));
 
-  EXPECT_EQ(scenario.replica_count(), 2);
-  EXPECT_EQ(scenario.style(), replication::ReplicationStyle::kWarmPassive);
-  EXPECT_EQ(scenario.checkpoint_interval(), calib::kDefaultCheckpointInterval);
+  EXPECT_EQ(scenario.group().replica_count(), 2);
+  EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kWarmPassive);
+  EXPECT_EQ(scenario.group().checkpoint_interval(), calib::kDefaultCheckpointInterval);
 
-  scenario.set_checkpoint_interval(msec(80));
-  EXPECT_EQ(scenario.checkpoint_interval(), msec(80));
+  scenario.group().set_checkpoint_interval(msec(80));
+  EXPECT_EQ(scenario.group().checkpoint_interval(), msec(80));
   EXPECT_EQ(scenario.replicator(0).checkpoint_interval(), msec(80));
 
-  scenario.set_replica_count(3);
+  scenario.group().set_replica_count(3);
   scenario.kernel().run_until(msec(600));
-  EXPECT_EQ(scenario.replica_count(), 3);
+  EXPECT_EQ(scenario.group().replica_count(), 3);
 
-  scenario.set_style(replication::ReplicationStyle::kActive);
+  scenario.group().set_style(replication::ReplicationStyle::kActive);
   scenario.kernel().run_until(msec(1200));
-  EXPECT_EQ(scenario.style(), replication::ReplicationStyle::kActive);
+  EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kActive);
 }
 
 TEST(Scenario, OpenLoopSuppressionUnderOverload) {

@@ -208,7 +208,7 @@ TEST(DeltaCheckpoints, PromotedBackupStaysExactlyOnceUnderDeltas) {
   const ExperimentResult result = scenario.run_closed_loop(cycle);
 
   EXPECT_EQ(result.completed, 1440u);
-  EXPECT_EQ(scenario.live_replicas(), 2);
+  EXPECT_EQ(scenario.group().live_count(), 2);
   // Exactly-once at the application despite failover mid-chain.
   EXPECT_EQ(scenario.servant(1).counter(), 1440u);
   // The restored cache stays bounded by the per-checkpoint retention window.
@@ -237,7 +237,7 @@ TEST(DeltaCheckpoints, RecoveredReplicaRejoinsThroughDeltaStateTransfer) {
   const ExperimentResult result = scenario.run_closed_loop(cycle);
 
   EXPECT_EQ(result.completed, 840u);
-  EXPECT_EQ(scenario.live_replicas(), 3);
+  EXPECT_EQ(scenario.group().live_count(), 3);
   EXPECT_TRUE(scenario.replicator(2).initialized());
   // The rejoiner got at least one full install (the donated anchor)…
   EXPECT_GE(scenario.replicator(2).installs_full(), 1u);

@@ -36,7 +36,7 @@ TEST_P(FailoverTest, PrimaryCrashMidCycleStillCompletesExactlyOnce) {
   const ExperimentResult result = scenario.run_closed_loop(cycle);
 
   EXPECT_EQ(result.completed, 1440u);
-  EXPECT_EQ(scenario.live_replicas(), 2);
+  EXPECT_EQ(scenario.group().live_count(), 2);
   EXPECT_EQ(result.faults_tolerated, 1);
 
   // Exactly-once despite the failover: the surviving responder's counter is
@@ -168,7 +168,7 @@ TEST(Failover, TwoSequentialCrashesWithThreeReplicas) {
   cycle.max_duration = sec(240);
   const auto result = scenario.run_closed_loop(cycle);
   EXPECT_EQ(result.completed, 1220u);
-  EXPECT_EQ(scenario.live_replicas(), 1);
+  EXPECT_EQ(scenario.group().live_count(), 1);
   EXPECT_EQ(scenario.servant(2).counter(), 1220u);
 }
 
@@ -182,7 +182,7 @@ TEST(Failover, ReplicaGrowthWithStateTransfer) {
   config.style = ReplicationStyle::kActive;
   Scenario scenario(config);
 
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(3); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(3); });
 
   Scenario::CycleConfig cycle;
   cycle.requests_per_client = 800;
@@ -190,7 +190,7 @@ TEST(Failover, ReplicaGrowthWithStateTransfer) {
   cycle.max_duration = sec(120);
   const auto result = scenario.run_closed_loop(cycle);
   EXPECT_EQ(result.completed, 820u);
-  EXPECT_EQ(scenario.live_replicas(), 3);
+  EXPECT_EQ(scenario.group().live_count(), 3);
 
   scenario.drain();
   auto digests = scenario.live_state_digests();
@@ -206,14 +206,14 @@ TEST(Failover, ReplicaShrinkGraceful) {
   config.max_replicas = 3;
   config.style = ReplicationStyle::kActive;
   Scenario scenario(config);
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(1); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(1); });
 
   Scenario::CycleConfig cycle;
   cycle.requests_per_client = 600;
   cycle.warmup_requests = 20;
   const auto result = scenario.run_closed_loop(cycle);
   EXPECT_EQ(result.completed, 620u);
-  EXPECT_EQ(scenario.live_replicas(), 1);
+  EXPECT_EQ(scenario.group().live_count(), 1);
   EXPECT_EQ(result.retransmissions, 0u);  // graceful leave loses nothing
 }
 
@@ -235,7 +235,7 @@ TEST(Failover, PerformanceFaultDegradesButDoesNotBreak) {
   cycle.max_duration = sec(120);
   const auto result = scenario.run_closed_loop(cycle);
   EXPECT_EQ(result.completed, 820u);
-  EXPECT_EQ(scenario.live_replicas(), 2);       // nobody got expelled
+  EXPECT_EQ(scenario.group().live_count(), 2);  // nobody got expelled
   EXPECT_GT(result.max_latency_us, 8000.0);     // the fault was visible
   EXPECT_EQ(scenario.servant(0).counter(), 820u);
 }

@@ -70,7 +70,7 @@ TEST(Hybrid, DoubleCrashPromotesObserverWithReplay) {
   scenario.drain();
 
   EXPECT_EQ(result.completed, 820u);
-  EXPECT_EQ(scenario.live_replicas(), 1);
+  EXPECT_EQ(scenario.group().live_count(), 1);
   // The former observer finished the cycle exactly-once despite replaying.
   EXPECT_EQ(scenario.servant(2).counter(), 820u);
 }

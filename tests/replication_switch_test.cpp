@@ -161,7 +161,7 @@ TEST(SwitchProtocol, SwitchRacingWithJoinerStateTransfer) {
   config.max_replicas = 3;
   config.style = ReplicationStyle::kWarmPassive;
   Scenario scenario(config);
-  scenario.kernel().post_at(sec(1), [&] { scenario.set_replica_count(3); });
+  scenario.kernel().post_at(sec(1), [&] { scenario.group().set_replica_count(3); });
   scenario.kernel().post_at(sec(1) + msec(5), [&] {
     scenario.replicator(0).request_style_switch(ReplicationStyle::kActive);
   });
@@ -181,6 +181,55 @@ TEST(SwitchProtocol, SwitchRacingWithJoinerStateTransfer) {
   ASSERT_EQ(digests.size(), 3u);
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[1], digests[2]);
+}
+
+// A replica that joins after a completed switch must run the style its live
+// peers run, not the style the group was configured with: a joiner left in
+// the old style executes differently and its state diverges.
+ScenarioConfig switched_config(bool auto_recover) {
+  ScenarioConfig config;
+  config.clients = 1;
+  config.replicas = auto_recover ? 3 : 2;
+  config.max_replicas = 3;
+  config.style = ReplicationStyle::kWarmPassive;
+  config.auto_recover = auto_recover;
+  return config;
+}
+
+void expect_joiner_in_group_style(Scenario& scenario, int joiner) {
+  Scenario::CycleConfig cycle;  // traffic runs well past the join at 2-2.3 s
+  cycle.requests_per_client = 3000;
+  cycle.warmup_requests = 20;
+  cycle.max_duration = sec(120);
+  const auto result = scenario.run_closed_loop(cycle);
+  scenario.drain();
+
+  EXPECT_EQ(result.completed, 3020u);
+  EXPECT_EQ(scenario.group().live_count(), 3);
+  EXPECT_EQ(scenario.replicator(joiner).style(), ReplicationStyle::kActive);
+  auto digests = scenario.live_state_digests();
+  ASSERT_EQ(digests.size(), 3u);
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[1], digests[2]);
+}
+
+TEST(SwitchProtocol, GrownReplicaJoinsInSwitchedStyle) {
+  Scenario scenario(switched_config(/*auto_recover=*/false));
+  scenario.kernel().post_at(sec(1), [&] {
+    scenario.group().set_style(ReplicationStyle::kActive);
+  });
+  scenario.kernel().post_at(sec(2), [&] { scenario.group().set_replica_count(3); });
+  expect_joiner_in_group_style(scenario, 2);
+}
+
+TEST(SwitchProtocol, RecoveredReplicaRejoinsInSwitchedStyle) {
+  Scenario scenario(switched_config(/*auto_recover=*/true));
+  scenario.kernel().post_at(sec(1), [&] {
+    scenario.group().set_style(ReplicationStyle::kActive);
+  });
+  scenario.fault_plan().crash_process(sec(2), scenario.replica_pid(1));
+  scenario.fault_plan().restart_process(sec(2) + msec(300), scenario.replica_pid(1));
+  expect_joiner_in_group_style(scenario, 1);
 }
 
 // Crash-at-every-offset sweep: a replica dies at a parameterized delay
@@ -208,7 +257,7 @@ TEST_P(SwitchCrashTest, CrashAroundSwitchPreservesInvariants) {
   const auto result = scenario.run_closed_loop(cycle);
 
   EXPECT_EQ(result.completed, 1440u);
-  EXPECT_EQ(scenario.live_replicas(), 2);
+  EXPECT_EQ(scenario.group().live_count(), 2);
 
   // All survivors agree on what switches happened.
   auto histories = live_histories(scenario, 3);
@@ -255,7 +304,7 @@ TEST(SwitchProtocol, CrashScheduleReplaysIdenticallyAfterWireRoundTrip) {
     cycle.max_duration = sec(240);
     const auto result = scenario.run_closed_loop(cycle);
     scenario.drain();
-    return std::make_tuple(result.completed, scenario.live_replicas(),
+    return std::make_tuple(result.completed, scenario.group().live_count(),
                            scenario.live_state_digests());
   };
 

@@ -78,7 +78,7 @@ TEST(Recovery, CrashThenReprovisionRestoresRedundancy) {
 
   scenario.fault_plan().crash_process(sec(1), scenario.replica_pid(0));
   scenario.kernel().post_at(sec(2), [&] {
-    scenario.set_replica_count(3);  // new process on the freed host
+    scenario.group().set_replica_count(3);  // new process on the freed host
   });
   scenario.fault_plan().crash_process(sec(3), scenario.replica_pid(1));
 
@@ -90,7 +90,7 @@ TEST(Recovery, CrashThenReprovisionRestoresRedundancy) {
   scenario.drain();
 
   EXPECT_EQ(result.completed, 2020u);
-  EXPECT_EQ(scenario.live_replicas(), 2);  // replica 2 + the replacement
+  EXPECT_EQ(scenario.group().live_count(), 2);  // replica 2 + the replacement
   auto digests = scenario.live_state_digests();
   ASSERT_EQ(digests.size(), 2u);
   EXPECT_EQ(digests[0], digests[1]);
@@ -107,7 +107,7 @@ TEST(Recovery, WarmPassiveReprovisionedBackupCanPromote) {
   // Backup dies; a replacement joins (state transfer); then the primary
   // dies and the replacement must take over correctly.
   scenario.fault_plan().crash_process(sec(1), scenario.replica_pid(1));
-  scenario.kernel().post_at(sec(2), [&] { scenario.set_replica_count(2); });
+  scenario.kernel().post_at(sec(2), [&] { scenario.group().set_replica_count(2); });
   scenario.fault_plan().crash_process(sec(3), scenario.replica_pid(0));
 
   Scenario::CycleConfig cycle;
@@ -118,7 +118,7 @@ TEST(Recovery, WarmPassiveReprovisionedBackupCanPromote) {
   scenario.drain();
 
   EXPECT_EQ(result.completed, 2020u);
-  EXPECT_EQ(scenario.live_replicas(), 1);
+  EXPECT_EQ(scenario.group().live_count(), 1);
   // Exactly-once through join + state transfer + promotion + replay.
   EXPECT_EQ(scenario.servant(2).counter(), 2020u);
 }
