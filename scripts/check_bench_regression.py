@@ -34,7 +34,7 @@ the built-in real_time/cpu_time); for "chaos" gates the metric name is a
 dotted path into the flat report (e.g. "recovery_ms.mean"). Only benchmarks
 present in both files are compared; a metric missing from both sides of a
 gate is an error (the allowlist names something the benchmark no longer
-emits).
+emits), and so is a declared gate with no recorded baseline.
 """
 import argparse
 import json
@@ -77,17 +77,19 @@ def compare(name, metric, direction, allowance, base, cur):
 
 
 def run_gate(gate, baseline_dir, current_dir):
-    """Returns (ok, skipped) for one gate."""
+    """Returns whether one gate passes. A declared gate whose baseline was
+    never recorded fails: a gate that cannot compare guards nothing."""
     name = gate["baseline"]
     base_path = os.path.join(baseline_dir, name)
     cur_path = os.path.join(current_dir, gate.get("current", name))
     if not os.path.exists(base_path):
-        print(f"{name}: no recorded baseline; skipping")
-        return True, True
+        print(f"error: {name}: gate declared but no recorded baseline at "
+              f"{base_path} (record it with bench/run_bench.sh)", file=sys.stderr)
+        return False
     if not os.path.exists(cur_path):
         print(f"error: {name}: baseline exists but no current measurement "
               f"at {cur_path}", file=sys.stderr)
-        return False, False
+        return False
 
     base_doc = load_json(base_path)
     cur_doc = load_json(cur_path)
@@ -121,7 +123,7 @@ def run_gate(gate, baseline_dir, current_dir):
                                      allowance, base_vals[bench], cur_vals[bench])
                 print(line)
                 ok = ok and good
-    return ok, False
+    return ok
 
 
 def main():
@@ -153,11 +155,10 @@ def main():
             return 2
         all_ok = True
         for gate in gates:
-            ok, _ = run_gate(gate, args.baseline_dir, args.current_dir)
-            all_ok = all_ok and ok
+            all_ok = run_gate(gate, args.baseline_dir, args.current_dir) and all_ok
         if not all_ok:
-            print("error: benchmark baselines regressed beyond allowance",
-                  file=sys.stderr)
+            print("error: benchmark gates failed (regression beyond allowance, "
+                  "or a missing baseline or measurement)", file=sys.stderr)
             return 1
         return 0
 

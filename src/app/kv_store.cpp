@@ -84,13 +84,28 @@ Bytes KvStoreServant::snapshot() const {
 }
 
 void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
-  data_.clear();
+  // Merge the key-ordered snapshot into the store in one pass: equal keys
+  // are assigned in place, stored keys the snapshot lacks are erased, and
+  // only keys new to the store allocate a node. A backup installing a
+  // checkpoint of a mostly unchanged store then touches little memory.
   ByteReader r(snapshot);
   const auto n = r.u32();
+  auto it = data_.begin();
+  std::string_view prev;
   for (std::uint32_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    data_[std::move(key)] = r.str();
+    const std::string_view key = r.str_view();
+    const std::string_view value = r.str_view();
+    if (i > 0 && key <= prev) throw r.error("snapshot keys not ascending");
+    prev = key;
+    while (it != data_.end() && it->first < key) it = data_.erase(it);
+    if (it != data_.end() && it->first == key) {
+      it->second.assign(value);
+      ++it;
+    } else {
+      it = std::next(data_.emplace_hint(it, key, value));
+    }
   }
+  data_.erase(it, data_.end());
   // The per-key stamps described the overwritten state; deltas can only be
   // answered for cuts taken from here on. Epochs stay monotone across
   // restores so stale `since` values are rejected, never misanswered.

@@ -96,7 +96,14 @@ void Daemon::on_link_deliver(NodeId from, Payload&& inner) {
     cost += params_.sequencer_cost;
   }
   network_.cpu(host()).execute(cost, guarded([this, from, raw = std::move(inner)] {
-    handle_inner(from, decode_inner(raw));
+    InnerMsg msg;
+    try {
+      msg = decode_inner(raw);
+    } catch (const DecodeError&) {
+      ++frames_dropped_;  // malformed frame: drop it, keep the daemon running
+      return;
+    }
+    handle_inner(from, std::move(msg));
   }));
 }
 

@@ -74,6 +74,11 @@ class Daemon : public sim::Process {
   [[nodiscard]] bool is_leader() const { return leader_ == host() && !awaiting_sync_; }
   [[nodiscard]] const FailureDetector& failure_detector() const { return *fd_; }
   [[nodiscard]] std::uint64_t term() const { return term_; }
+  // Received frames that failed to decode (link header or inner message) and
+  // were dropped instead of ending the run.
+  [[nodiscard]] std::uint64_t frames_dropped() const {
+    return frames_dropped_ + link_->frames_dropped();
+  }
 
   // Health-plane tap (see gcs/health_observer.hpp). The observer must
   // outlive the daemon; nullptr detaches.
@@ -142,6 +147,7 @@ class Daemon : public sim::Process {
 
   NodeId leader_;
   std::uint64_t term_ = 0;
+  std::uint64_t frames_dropped_ = 0;  // inner messages that failed to decode
 
   // Leader role.
   std::unique_ptr<LeaderState> leader_state_;

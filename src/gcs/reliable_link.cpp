@@ -102,9 +102,17 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
   // The reader carries the packet's buffer as its owner, so the inner frame
   // below is a zero-copy alias of the received bytes.
   ByteReader r(packet.payload.owner(), packet.payload);
-  const auto type = static_cast<FrameType>(r.u8());
-  const std::uint64_t seq = r.u64();
-  Payload inner = read_payload(r);
+  FrameType type;
+  std::uint64_t seq;
+  Payload inner;
+  try {
+    type = static_cast<FrameType>(r.u8());
+    seq = r.u64();
+    inner = read_payload(r);
+  } catch (const DecodeError&) {
+    ++frames_dropped_;  // truncated header or inner length
+    return;
+  }
 
   switch (type) {
     case FrameType::kRaw:
@@ -138,7 +146,7 @@ void ReliableLink::handle_packet(net::Packet&& packet) {
       return;
     }
   }
-  throw r.error("bad link frame type", 0);
+  ++frames_dropped_;  // unknown frame type
 }
 
 }  // namespace vdep::gcs

@@ -48,6 +48,8 @@ class ReliableLink {
   void forget_peer(NodeId peer);
 
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
+  // Packets with a truncated or unknown link header; each is dropped.
+  [[nodiscard]] std::uint64_t frames_dropped() const { return frames_dropped_; }
 
  private:
   struct Unacked {
@@ -80,6 +82,7 @@ class ReliableLink {
   // data frames, the retransmit queue) has dropped its Payload references.
   BufferPool frame_pool_;
   std::uint64_t retransmissions_ = 0;
+  std::uint64_t frames_dropped_ = 0;
 };
 
 }  // namespace vdep::gcs

@@ -11,10 +11,10 @@ void MessageLog::append(LoggedRequest entry) {
   VDEP_ASSERT_MSG(inserted, "duplicate log index");
 }
 
-void MessageLog::truncate_applied(const std::map<ProcessId, std::uint64_t>& applied) {
+void MessageLog::truncate_applied(const ClientFrontier& applied) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    const auto ait = applied.find(it->second.request_id.client);
-    const bool covered = ait != applied.end() && it->second.request_id.seq <= ait->second;
+    const std::uint64_t* rid = applied.find(it->second.request_id.client);
+    const bool covered = rid != nullptr && it->second.request_id.seq <= *rid;
     if (covered) {
       bytes_ -= it->second.giop.size();
       it = entries_.erase(it);

@@ -2,15 +2,16 @@
 // they await a state transfer).
 //
 // Entries are kept in the replica's local delivery order. A checkpoint's
-// per-client applied map truncates the covered prefix (every entry whose
-// retention id the snapshot already reflects); what remains is exactly what
-// a promoted backup must replay.
+// applied frontier (each client's highest retention id in the snapshot)
+// truncates the covered entries, whose retention ids the snapshot already
+// reflects; what remains is exactly what a promoted backup must replay.
 #pragma once
 
 #include <cstdint>
 #include <map>
 
 #include "obs/trace_context.hpp"
+#include "replication/client_frontier.hpp"
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
 #include "util/payload.hpp"
@@ -31,9 +32,9 @@ class MessageLog {
  public:
   void append(LoggedRequest entry);
 
-  // Drops every entry already covered by the applied map (retention id at or
-  // below the client's entry).
-  void truncate_applied(const std::map<ProcessId, std::uint64_t>& applied);
+  // Drops every entry already covered by the applied frontier (retention id
+  // at or below the client's entry).
+  void truncate_applied(const ClientFrontier& applied);
 
   // All retained entries in delivery order; the log is cleared. Used by
   // promotion/rollback replay.

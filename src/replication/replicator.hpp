@@ -149,7 +149,7 @@ class Replicator {
   }
   // Replays every logged request not yet reflected in this replica's state
   // (promotion / rollback / joiner catch-up); duplicate suppression comes
-  // from the per-client applied-retention-id map.
+  // from the per-client applied frontier.
   void replay_log(bool send_replies);
   // Executions since the last checkpoint (drives the every-N-requests
   // checkpoint trigger in the passive engines).
@@ -157,9 +157,7 @@ class Replicator {
     return executions_since_checkpoint_;
   }
   // Highest retention id applied per client (the exactly-once frontier).
-  [[nodiscard]] const std::map<ProcessId, std::uint64_t>& applied_frontier() const {
-    return applied_rid_;
-  }
+  [[nodiscard]] const ClientFrontier& applied_frontier() const { return applied_rid_; }
   // Promotion entry points.
   void promote_warm();   // replay with replies, assume primary duties
   // Applies a retained (cold) checkpoint if one is pending; see .cpp.
@@ -213,7 +211,7 @@ class Replicator {
 
   std::optional<gcs::View> view_;
   std::uint64_t request_index_ = 0;   // local delivery index of kRequest envelopes
-  std::map<ProcessId, std::uint64_t> applied_rid_;  // exactly-once frontier
+  ClientFrontier applied_rid_;  // exactly-once frontier
   std::uint64_t executed_count_ = 0;  // actual executions (dedups excluded)
   std::uint64_t expired_dropped_ = 0;
   ReplyCache reply_cache_;

@@ -9,43 +9,43 @@ ReplyCache::ReplyCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 void ReplyCache::put(const RequestId& id, Payload reply_giop) {
-  auto [it, inserted] = entries_.emplace(id, std::move(reply_giop));
+  const auto [it, inserted] = index_.emplace(id, evicted_ + fifo_.size());
   if (!inserted) {
     // Replay after failover can re-record a reply; deterministic execution
     // means the bytes match, so keep the original.
     return;
   }
-  order_.push_back(id);
+  fifo_.push_back(Entry{id, std::move(reply_giop)});
   evict_to_capacity();
 }
 
 void ReplyCache::evict_to_capacity() {
-  while (entries_.size() > capacity_) {
-    entries_.erase(order_.front());
-    order_.pop_front();
+  while (fifo_.size() > capacity_) {
+    index_.erase(fifo_.front().id);
+    fifo_.pop_front();
+    ++evicted_;
   }
 }
 
 std::optional<Payload> ReplyCache::get(const RequestId& id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  const auto it = index_.find(id);
+  if (it == index_.end()) return std::nullopt;
+  return fifo_[it->second - evicted_].reply;
 }
 
-bool ReplyCache::contains(const RequestId& id) const { return entries_.contains(id); }
+bool ReplyCache::contains(const RequestId& id) const { return index_.contains(id); }
 
-Bytes ReplyCache::serialize() const { return serialize_recent(order_.size()); }
+Bytes ReplyCache::serialize() const { return serialize_recent(fifo_.size()); }
 
 Bytes ReplyCache::serialize_recent(std::size_t max_entries) const {
-  const std::size_t n = std::min(max_entries, order_.size());
+  const std::size_t n = std::min(max_entries, fifo_.size());
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(n));
-  auto it = order_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(order_.size() - n));
-  for (; it != order_.end(); ++it) {
-    w.u64(it->client.value());
-    w.u64(it->seq);
-    w.bytes(entries_.at(*it));
+  for (std::size_t i = fifo_.size() - n; i < fifo_.size(); ++i) {
+    const Entry& e = fifo_[i];
+    w.u64(e.id.client.value());
+    w.u64(e.id.seq);
+    w.bytes(e.reply);
   }
   return std::move(w).take();
 }
@@ -63,8 +63,9 @@ void ReplyCache::restore(const Payload& raw) {
 }
 
 void ReplyCache::clear() {
-  entries_.clear();
-  order_.clear();
+  fifo_.clear();
+  index_.clear();
+  evicted_ = 0;
 }
 
 }  // namespace vdep::replication

@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
+#include <deque>
 #include <optional>
+#include <unordered_map>
 
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
@@ -31,7 +31,7 @@ class ReplyCache {
 
   [[nodiscard]] std::optional<Payload> get(const RequestId& id) const;
   [[nodiscard]] bool contains(const RequestId& id) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] Bytes serialize() const;
@@ -46,12 +46,19 @@ class ReplyCache {
  private:
   void evict_to_capacity();
 
+  struct Entry {
+    RequestId id;
+    Payload reply;
+  };
+
   std::size_t capacity_;
-  // Insertion-ordered FIFO eviction; a map from id to the reply plus the FIFO
-  // queue of ids. (LRU would touch on get; FIFO matches "old requests have
-  // expired" semantics from FT-CORBA's request duration policy.)
-  std::map<RequestId, Payload> entries_;
-  std::list<RequestId> order_;
+  // Insertion-ordered FIFO eviction. (LRU would touch on get; FIFO matches
+  // "old requests have expired" semantics from FT-CORBA's request duration
+  // policy.) The index maps an id to its entry's insertion number; the entry
+  // sits at `fifo_[number - evicted_]`.
+  std::deque<Entry> fifo_;
+  std::unordered_map<RequestId, std::uint64_t> index_;
+  std::uint64_t evicted_ = 0;  // entries popped off the front so far
 };
 
 }  // namespace vdep::replication

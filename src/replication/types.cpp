@@ -84,10 +84,16 @@ CheckpointMsg CheckpointMsg::decode(const Payload& raw, Kind kind) {
       throw r.error("delta checkpoint chains backwards", 8);
     }
   }
+  // Each entry is 16 bytes, so a count the frame cannot hold is rejected
+  // before anything is allocated for it.
   const auto n = r.u32();
+  if (n > r.remaining() / 16) throw r.error("applied count exceeds frame", r.pos() - 4);
+  m.applied.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const ProcessId client{r.u64()};
-    m.applied[client] = r.u64();
+    if (!m.applied.append(client, r.u64())) {
+      throw r.error("applied clients not ascending", r.pos() - 16);
+    }
   }
   m.app_state = read_payload(r);
   m.reply_cache = read_payload(r);

@@ -19,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
+#include "replication/client_frontier.hpp"
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
 #include "util/payload.hpp"
@@ -68,10 +68,13 @@ struct RepEnvelope {
 // take over without violating exactly-once:
 //  - `applied` maps each client to the highest retention id folded into this
 //    snapshot. Retention ids are per-client monotone (FT-CORBA), so a
-//    request is a duplicate w.r.t. this state iff its id is <= the map's
-//    entry — robust against client retransmissions, group-layer replays and
-//    joiners whose local delivery counts differ from the primary's;
-//  - `reply_cache` holds recent replies for resending to retrying clients.
+//    request is a duplicate w.r.t. this state iff its id is <= the
+//    frontier's entry — robust against client retransmissions, group-layer
+//    replays and joiners whose local delivery counts differ from the
+//    primary's. On the wire its entries are in ascending client order; a
+//    decoder rejects any other order;
+//  - `reply_cache` holds the newest `checkpoint_reply_entries` replies for
+//    resending to retrying clients (ReplyCache::serialize_recent).
 //
 // Two kinds on the wire. A *full* checkpoint (anchor) carries the whole app
 // snapshot and is self-contained; its encoding is unchanged from the
@@ -79,9 +82,10 @@ struct RepEnvelope {
 // since `base_epoch` (the checkpoint id it chains onto) and is only
 // installable on a replica whose state is exactly at `base_epoch`;
 // `delta_epoch` equals `checkpoint_id` and is written explicitly so the
-// chain position survives re-encoding. The applied map and reply cache are
-// always complete (they are small), so log truncation and exactly-once dedup
-// work identically for both kinds.
+// chain position survives re-encoding. Both kinds carry the whole applied
+// frontier — every client the group has ever served, not just the changed
+// ones — so log truncation and exactly-once dedup work identically for
+// both; its cost per checkpoint grows with the client count.
 struct CheckpointMsg {
   enum class Kind : std::uint8_t { kFull = 0, kDelta = 1 };
 
@@ -89,7 +93,7 @@ struct CheckpointMsg {
   std::uint64_t checkpoint_id = 0;
   std::uint64_t base_epoch = 0;   // delta only: predecessor checkpoint id
   std::uint64_t delta_epoch = 0;  // delta only: == checkpoint_id
-  std::map<ProcessId, std::uint64_t> applied;
+  ClientFrontier applied;
   Payload app_state;  // full snapshot, or the app's delta encoding
   Payload reply_cache;
 

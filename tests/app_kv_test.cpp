@@ -69,6 +69,56 @@ TEST(KvStore, SnapshotRestoreAndDigest) {
   EXPECT_EQ(a.state_digest(), c.state_digest());
 }
 
+Bytes snapshot_of(const std::vector<std::pair<std::string, std::string>>& rows) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(rows.size()));
+  for (const auto& [key, value] : rows) {
+    w.str(key);
+    w.str(value);
+  }
+  return std::move(w).take();
+}
+
+TEST(KvStore, RestoreRejectsUnsortedOrDuplicateKeys) {
+  KvStoreServant kv;
+  kv.restore(snapshot_of({{"a", "1"}, {"b", "2"}}));
+  EXPECT_EQ(kv.entries(), 2u);
+  EXPECT_THROW(kv.restore(snapshot_of({{"b", "1"}, {"a", "2"}})), DecodeError);
+  EXPECT_THROW(kv.restore(snapshot_of({{"a", "1"}, {"a", "2"}})), DecodeError);
+  EXPECT_THROW(kv.restore(snapshot_of({{"a", "1"}, {"c", "2"}, {"c", "3"}})),
+               DecodeError);
+}
+
+TEST(KvStore, RestoreOverPopulatedStoreMatchesFreshRestore) {
+  // The donor: keys the backup shares (some with new values), keys it lacks,
+  // and none of the keys only the backup holds.
+  KvStoreServant donor;
+  for (const char* key : {"b", "c", "e", "g", "h", "k", "z"}) {
+    (void)donor.invoke("put", KvStoreServant::encode_put(key, std::string("new-") + key));
+  }
+  (void)donor.invoke("put", KvStoreServant::encode_put("c", "old-c"));  // unchanged
+  KvStoreServant backup;
+  for (const char* key : {"a", "c", "d", "e", "f", "k", "m", "y", "zz"}) {
+    (void)backup.invoke("put", KvStoreServant::encode_put(key, std::string("old-") + key));
+  }
+  const Bytes image = donor.snapshot();
+  backup.restore(image);
+  KvStoreServant fresh;
+  fresh.restore(image);
+  EXPECT_EQ(backup.snapshot(), image);
+  EXPECT_EQ(backup.snapshot(), fresh.snapshot());
+  EXPECT_EQ(backup.state_digest(), fresh.state_digest());
+  EXPECT_EQ(backup.state_digest(), donor.state_digest());
+  EXPECT_EQ(backup.entries(), 7u);
+  EXPECT_FALSE(backup.lookup("a").has_value());
+  EXPECT_FALSE(backup.lookup("zz").has_value());
+  EXPECT_EQ(backup.lookup("c"), "old-c");
+
+  // Restoring the empty store over a populated one empties it.
+  backup.restore(KvStoreServant{}.snapshot());
+  EXPECT_EQ(backup.entries(), 0u);
+}
+
 TEST(KvStore, DeltaCarriesOnlyTheDirtySet) {
   KvStoreServant kv;
   for (int i = 0; i < 100; ++i) {

@@ -99,6 +99,46 @@ TEST_F(GcsFixture, JoinDeliversViewToMember) {
   EXPECT_TRUE(m.views[0].contains(ProcessId{10}));
 }
 
+TEST_F(GcsFixture, MalformedFramesAreDroppedAndCounted) {
+  build(2);
+  auto& m1 = add_member(NodeId{0}, 10);
+  auto& m2 = add_member(NodeId{1}, 20);
+  m1.endpoint->join(kGroup);
+  m2.endpoint->join(kGroup);
+  kernel->run_until(msec(50));
+
+  // A stray host (no daemon of its own) sends junk to daemon 1's port.
+  const NodeId stray = network->add_host("stray");
+  auto send_junk = [&](Bytes frame) {
+    net::Packet p;
+    p.src = stray;
+    p.dst = NodeId{1};
+    p.port = net::Port::kGcsDaemon;
+    p.payload = Payload(std::move(frame));
+    network->send(std::move(p));
+  };
+  send_junk(Bytes{0x01, 0x02});  // link header cut short
+  kernel->run_until(msec(60));
+  EXPECT_EQ(daemons[1]->frames_dropped(), 1u);
+
+  // A well-framed data frame whose inner message has an unknown tag.
+  ByteWriter w;
+  w.u8(1);   // data frame
+  w.u64(1);  // the stray peer's first sequence number
+  w.bytes(Bytes{0xee, 0x00});
+  send_junk(std::move(w).take());
+  kernel->run_until(msec(70));
+  EXPECT_EQ(daemons[1]->frames_dropped(), 2u);
+  EXPECT_EQ(daemons[0]->frames_dropped(), 0u);
+
+  // The daemon is still ordering and delivering.
+  m1.endpoint->multicast(kGroup, ServiceType::kAgreed, text("after"));
+  kernel->run_until(msec(150));
+  ASSERT_FALSE(m2.delivered.empty());
+  EXPECT_EQ(m2.delivered.back(), "msg:10:after");
+  EXPECT_EQ(msgs_only(m1.delivered), msgs_only(m2.delivered));
+}
+
 TEST_F(GcsFixture, TotalOrderAcrossMembersOnDifferentHosts) {
   build(3);
   auto& m1 = add_member(NodeId{1}, 10);

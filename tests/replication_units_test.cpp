@@ -3,6 +3,8 @@
 // state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "app/test_app.hpp"
 #include "replication/checkpoint.hpp"
 #include "replication/message_log.hpp"
@@ -61,6 +63,81 @@ TEST(ReplyCache, SerializeRecentKeepsNewest) {
   EXPECT_FALSE(other.contains(rid(1, 7)));
   EXPECT_TRUE(other.contains(rid(1, 8)));
   EXPECT_TRUE(other.contains(rid(1, 10)));
+}
+
+// Decodes a serialized cache into its (client, seq) ids, in wire order.
+std::vector<RequestId> cache_ids(const Bytes& raw) {
+  ByteReader r(raw);
+  std::vector<RequestId> ids(r.u32());
+  for (auto& id : ids) {
+    id.client = ProcessId{r.u64()};
+    id.seq = r.u64();
+    (void)r.bytes_view();
+  }
+  return ids;
+}
+
+TEST(ReplyCache, SerializeRecentAfterWrapReturnsNewestInOrder) {
+  ReplyCache cache(8);
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    cache.put(rid(i % 3, i), Bytes(i, std::uint8_t(i)));
+  }
+  ASSERT_EQ(cache.size(), 8u);
+  const Bytes all = cache.serialize();
+  for (std::size_t n = 0; n <= 10; ++n) {
+    const Bytes recent = cache.serialize_recent(n);
+    const std::vector<RequestId> ids = cache_ids(recent);
+    const std::size_t expect = std::min<std::size_t>(n, 8);
+    ASSERT_EQ(ids.size(), expect) << "n=" << n;
+    for (std::size_t k = 0; k < expect; ++k) {
+      const std::uint64_t seq = 20 - expect + 1 + k;
+      EXPECT_EQ(ids[k], rid(seq % 3, seq)) << "n=" << n << " k=" << k;
+    }
+    // Past the count, the newest n entries are the tail of the full form.
+    ASSERT_LE(recent.size(), all.size());
+    EXPECT_TRUE(std::equal(recent.begin() + 4, recent.end(),
+                           all.end() - static_cast<std::ptrdiff_t>(recent.size() - 4)))
+        << "n=" << n;
+  }
+  EXPECT_FALSE(cache.contains(rid(12 % 3, 12)));  // evicted
+  EXPECT_EQ(*cache.get(rid(13 % 3, 13)), Bytes(13, 13));
+}
+
+TEST(ReplyCache, RestoreThenSerializeIsByteIdentical) {
+  ReplyCache cache(8);
+  for (std::uint64_t i = 1; i <= 11; ++i) cache.put(rid(i, 40 - i), Bytes(i, 7));
+  const Bytes wire = cache.serialize();
+  ReplyCache other(8);
+  other.put(rid(99, 1), Bytes{1});  // restore replaces, not merges
+  other.restore(Payload::copy_of(wire));
+  EXPECT_EQ(other.serialize(), wire);
+  EXPECT_EQ(other.serialize_recent(3), cache.serialize_recent(3));
+  EXPECT_FALSE(other.contains(rid(99, 1)));
+}
+
+TEST(ClientFrontier, OutOfOrderInsertsIterateSorted) {
+  ClientFrontier f;
+  f[ProcessId{7}] = 70;
+  f[ProcessId{2}] = 20;
+  f[ProcessId{9}] = 90;
+  f[ProcessId{2}] = 21;  // overwrite, no new entry
+  f[ProcessId{5}];       // find-or-insert at 0
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  for (const auto& [client, r] : f) seen.emplace_back(client.value(), r);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                      {2, 21}, {5, 0}, {7, 70}, {9, 90}}));
+  EXPECT_EQ(f, (ClientFrontier{{ProcessId{9}, 90}, {ProcessId{5}, 0},
+                               {ProcessId{2}, 21}, {ProcessId{7}, 70}}));
+}
+
+TEST(ClientFrontier, FindMissReturnsNull) {
+  const ClientFrontier f{{ProcessId{4}, 40}, {ProcessId{8}, 80}};
+  EXPECT_EQ(f.find(ProcessId{1}), nullptr);
+  EXPECT_EQ(f.find(ProcessId{6}), nullptr);
+  EXPECT_EQ(f.find(ProcessId{9}), nullptr);
+  ASSERT_NE(f.find(ProcessId{8}), nullptr);
+  EXPECT_EQ(*f.find(ProcessId{8}), 80u);
+  EXPECT_TRUE(ClientFrontier{}.find(ProcessId{4}) == nullptr);
 }
 
 TEST(MessageLog, AppendTruncateAppliedReplayWindow) {
@@ -279,6 +356,75 @@ TEST(CheckpointMsgCodec, DeltaValidationRejectsCorruptChains) {
   }
   EXPECT_NO_THROW((void)CheckpointMsg::decode(Payload(Bytes(good)),
                                               CheckpointMsg::Kind::kDelta));
+}
+
+// A full checkpoint's wire bytes with a hand-written applied section.
+Bytes full_checkpoint_with_applied(
+    std::uint32_t count, const std::vector<std::pair<std::uint64_t, std::uint64_t>>& rows) {
+  ByteWriter w;
+  w.u64(5);  // checkpoint_id
+  w.u32(count);
+  for (const auto& [client, r] : rows) {
+    w.u64(client);
+    w.u64(r);
+  }
+  w.bytes(Bytes{});  // app_state
+  w.bytes(Bytes{});  // reply_cache
+  return std::move(w).take();
+}
+
+TEST(CheckpointMsgCodec, InflatedAppliedCountThrowsBeforeAllocating) {
+  // Two real entries, a count of four billion: rejected from the frame size.
+  EXPECT_THROW((void)CheckpointMsg::decode(Payload::copy_of(
+                   full_checkpoint_with_applied(0xffffffffu, {{1, 1}, {2, 2}}))),
+               DecodeError);
+  EXPECT_THROW((void)CheckpointMsg::decode(Payload::copy_of(
+                   full_checkpoint_with_applied(3, {{1, 1}, {2, 2}}))),
+               DecodeError);
+  const CheckpointMsg ok = CheckpointMsg::decode(
+      Payload::copy_of(full_checkpoint_with_applied(2, {{1, 1}, {2, 2}})));
+  EXPECT_EQ(ok.applied, (ClientFrontier{{ProcessId{1}, 1}, {ProcessId{2}, 2}}));
+}
+
+TEST(CheckpointMsgCodec, UnsortedAppliedClientsThrow) {
+  EXPECT_THROW((void)CheckpointMsg::decode(Payload::copy_of(
+                   full_checkpoint_with_applied(3, {{1, 1}, {5, 2}, {3, 9}}))),
+               DecodeError);
+}
+
+TEST(CheckpointMsgCodec, DuplicateAppliedClientsThrow) {
+  EXPECT_THROW((void)CheckpointMsg::decode(Payload::copy_of(
+                   full_checkpoint_with_applied(2, {{4, 1}, {4, 2}}))),
+               DecodeError);
+}
+
+TEST(CheckpointMsgCodec, EveryTruncatedPrefixDecodesOrThrowsDecodeError) {
+  CheckpointMsg full;
+  full.checkpoint_id = 77;
+  for (std::uint64_t c = 1; c <= 5; ++c) full.applied[ProcessId{c * 3}] = c * 10;
+  full.app_state = filler_bytes(9, 2);
+  full.reply_cache = filler_bytes(6, 4);
+  CheckpointMsg delta = full;
+  delta.kind = CheckpointMsg::Kind::kDelta;
+  delta.checkpoint_id = 78;
+  delta.delta_epoch = 78;
+  delta.base_epoch = 77;
+  for (const CheckpointMsg* msg : {&full, &delta}) {
+    const Bytes wire = msg->encode();
+    for (std::size_t len = 0; len <= wire.size(); ++len) {
+      const Payload prefix = Payload::copy_of(
+          std::span<const std::uint8_t>(wire.data(), len));
+      try {
+        const CheckpointMsg out = CheckpointMsg::decode(prefix, msg->kind);
+        // Only the whole frame holds both length-prefixed tails.
+        EXPECT_EQ(len, wire.size());
+        EXPECT_EQ(out.applied, msg->applied);
+        EXPECT_EQ(out.app_state, msg->app_state);
+      } catch (const DecodeError&) {
+        EXPECT_LT(len, wire.size());
+      }
+    }
+  }
 }
 
 TEST(StateTransferMsgCodec, RoundTripAnchorPlusDeltaSuffix) {
