@@ -76,6 +76,26 @@ def compare(name, metric, direction, allowance, base, cur):
                 f"({ratio:.2f}x baseline, {direction} is better) {verdict}")
 
 
+MACHINE_FIELDS = ("host_name", "num_cpus", "vdep_cpu_model")
+
+
+def describe_machines(name, base_doc, cur_doc):
+    """Prints the machine behind each side of a failed gate, and warns when
+    they differ: a ratio across two machines is not a regression signal."""
+    def machine(doc):
+        context = doc.get("context", {}) if isinstance(doc, dict) else {}
+        return tuple(str(context.get(f, "unknown")) for f in MACHINE_FIELDS)
+
+    base, cur = machine(base_doc), machine(cur_doc)
+    for label, values in (("baseline", base), ("current", cur)):
+        fields = ", ".join(f"{f}={v}" for f, v in zip(MACHINE_FIELDS, values))
+        print(f"{name}: {label} machine: {fields}")
+    if base != cur:
+        print(f"warning: {name}: baseline and current ran on different "
+              f"machines; the ratios above compare hosts as well as code",
+              file=sys.stderr)
+
+
 def run_gate(gate, baseline_dir, current_dir):
     """Returns whether one gate passes. A declared gate whose baseline was
     never recorded fails: a gate that cannot compare guards nothing."""
@@ -123,6 +143,8 @@ def run_gate(gate, baseline_dir, current_dir):
                                      allowance, base_vals[bench], cur_vals[bench])
                 print(line)
                 ok = ok and good
+    if not ok:
+        describe_machines(name, base_doc, cur_doc)
     return ok
 
 
@@ -181,6 +203,8 @@ def main():
         print(line)
         failed = failed or not ok
     if failed:
+        describe_machines(args.counter, load_json(args.baseline),
+                          load_json(args.current))
         print(f"error: {args.counter} regressed more than "
               f"{args.max_regression:.0%} vs baseline", file=sys.stderr)
         return 1

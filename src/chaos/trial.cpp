@@ -90,9 +90,9 @@ class ClassicTestbed {
   // Client c runs as its own process on client host c, with its own ORB and
   // ClientCoordinator, and keeps to its own keys.
   std::unique_ptr<WorkloadClient> client(int c, WorkloadClient::Config wc, Rng rng) {
-    VDEP_ASSERT_MSG(c < scenario_->config().clients,
-                    "one workload client per scenario client host");
-    auto& endpoint = *endpoints_.emplace_back(std::make_unique<Endpoint>(*scenario_, c));
+    auto& endpoint =
+        scenario_->add_client(ProcessId{7000 + static_cast<std::uint64_t>(c)},
+                              scenario_->client_host(c), "chaos-client" + std::to_string(c));
     wc.start_at = msec(250);
     wc.stagger = usec(125);
     wc.key_prefix = "kv:c" + std::to_string(c) + ":";
@@ -178,20 +178,6 @@ class ClassicTestbed {
   }
 
  private:
-  // A recorded client's process and ORB.
-  struct Endpoint {
-    Endpoint(harness::Scenario& scenario, int index)
-        : process(scenario.kernel(), ProcessId{7000 + static_cast<std::uint64_t>(index)},
-                  NodeId{static_cast<std::uint64_t>(index)},
-                  "chaos-client" + std::to_string(index)),
-          orb(scenario.network(), process) {
-      orb.use_transport(std::make_unique<replication::ClientCoordinator>(
-          scenario.network(), scenario.daemon_on(process.host()), process));
-    }
-    sim::Process process;
-    orb::ClientOrb orb;
-  };
-
   // Replica indexes the schedule removes for good: node kills, and crashed
   // processes whose restart was dropped (by the shrinker).
   std::set<int> permanently_lost(const net::FaultPlan& plan) const {
@@ -219,7 +205,6 @@ class ClassicTestbed {
   std::vector<std::uint64_t> incarnations_;  // per replica, bumped per rebuild
   std::unique_ptr<harness::Scenario> scenario_;
   sim::Kernel* kernel_ = nullptr;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
 
 // A shard::ShardedCluster (replicated directory, one replica group per
@@ -283,7 +268,7 @@ class ShardTestbed {
         router.get(op.key, reply);
       }
     };
-    return std::make_unique<WorkloadClient>(cluster_->client_orb(c).process(),
+    return std::make_unique<WorkloadClient>(cluster_->client(c).process,
                                             std::move(wc), rng, std::move(send), nullptr);
   }
 

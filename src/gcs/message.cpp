@@ -37,6 +37,14 @@ ServiceType decode_svc(ByteReader& r) {
   return static_cast<ServiceType>(v);
 }
 
+// Smallest encodings of SyncState's elements (empty payloads; a trace
+// context is 16 bytes; a view travels length-prefixed and holds at least its
+// group, id and member count).
+constexpr std::size_t kMinOrderedBytes = 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8 + 4 + 8 + 8 + 16;
+constexpr std::size_t kMinForwardBytes = 8 + 1 + 1 + 8 + 8 + 8 + 4 + 16;
+constexpr std::size_t kMinViewBytes = 4 + 8 + 8 + 4;
+constexpr std::size_t kOrdAckBytes = 4 * 8;
+
 // Per-thread: trials on the parallel campaign fleet each count their own
 // encodes without racing (the encode-count test reads it on its own thread).
 thread_local std::uint64_t g_encode_inner_count = 0;
@@ -175,19 +183,28 @@ void SyncState::encode_to(ByteWriter& w) const {
 }
 
 SyncState SyncState::decode(ByteReader& r) {
+  // Each count is bounded by what the rest of the frame can hold at the
+  // element's smallest encoding, before anything is reserved for it.
+  auto count = [&r](std::size_t min_bytes, const char* what) {
+    const auto n = r.u32();
+    if (n > r.remaining() / min_bytes) {
+      throw r.error(std::string(what) + " count exceeds frame", r.pos() - 4);
+    }
+    return n;
+  };
   SyncState s;
   s.term = r.u64();
   s.from = NodeId{r.u64()};
-  const auto nb = r.u32();
+  const auto nb = count(kMinOrderedBytes, "buffered");
   s.buffered.reserve(nb);
   for (std::uint32_t i = 0; i < nb; ++i) s.buffered.push_back(Ordered::decode(r));
-  const auto np = r.u32();
+  const auto np = count(kMinForwardBytes, "pending");
   s.pending.reserve(np);
   for (std::uint32_t i = 0; i < np; ++i) s.pending.push_back(Forward::decode(r));
-  const auto nv = r.u32();
+  const auto nv = count(kMinViewBytes, "view");
   s.views.reserve(nv);
   for (std::uint32_t i = 0; i < nv; ++i) s.views.push_back(View::decode(r.bytes_view()));
-  const auto na = r.u32();
+  const auto na = count(kOrdAckBytes, "ack");
   s.acks.reserve(na);
   for (std::uint32_t i = 0; i < na; ++i) s.acks.push_back(OrdAck::decode(r));
   return s;

@@ -41,7 +41,10 @@ View View::decode(std::span<const std::uint8_t> raw) {
   View v;
   v.group = GroupId{r.u64()};
   v.view_id = r.u64();
+  // Each member is 16 bytes, so a count the frame cannot hold is rejected
+  // before anything is allocated for it.
   const auto n = r.u32();
+  if (n > r.remaining() / 16) throw r.error("member count exceeds frame", r.pos() - 4);
   v.members.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     Member m;

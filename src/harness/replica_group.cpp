@@ -2,16 +2,10 @@
 
 #include <stdexcept>
 
+#include "harness/testbed.hpp"
 #include "util/assert.hpp"
 
 namespace vdep::harness {
-
-gcs::Daemon& daemon_on(const Daemons& daemons, NodeId host) {
-  for (const auto& d : daemons) {
-    if (d->host() == host) return *d;
-  }
-  throw std::out_of_range("no daemon on host " + host.str());
-}
 
 ReplicaGroup::Node::Node(sim::Kernel& kernel, net::Network& network, ProcessId pid,
                          NodeId host, std::string name,
@@ -22,19 +16,15 @@ ReplicaGroup::Node::Node(sim::Kernel& kernel, net::Network& network, ProcessId p
   poa.activate(kObjectKey, *servant);
 }
 
-ReplicaGroup::ReplicaGroup(sim::Kernel& kernel, net::Network& network,
-                           const Daemons& daemons, std::uint64_t& next_pid, Config config)
-    : kernel_(kernel),
-      network_(network),
-      daemons_(daemons),
-      next_pid_(next_pid),
-      config_(std::move(config)) {}
+ReplicaGroup::ReplicaGroup(Testbed& testbed, std::uint64_t& next_pid, Config config)
+    : testbed_(testbed), next_pid_(next_pid), config_(std::move(config)) {}
 
 int ReplicaGroup::add_node(NodeId host) {
   const int index = size();
+  auto& network = testbed_.network();
   nodes_.push_back(std::make_unique<Node>(
-      kernel_, network_, ProcessId{next_pid_++}, host,
-      config_.name_prefix + std::to_string(index) + "@" + network_.host_name(host),
+      testbed_.kernel(), network, ProcessId{next_pid_++}, host,
+      config_.name_prefix + std::to_string(index) + "@" + network.host_name(host),
       config_.make_servant(index)));
   return index;
 }
@@ -46,7 +36,7 @@ void ReplicaGroup::start(int index, bool join_existing) {
   n.started = true;
 
   n.replicator = std::make_unique<replication::Replicator>(
-      network_, daemon_on(daemons_, n.process.host()), n.process, n.orb, *n.servant,
+      testbed_.network(), testbed_.daemon_on(n.process.host()), n.process, n.orb, *n.servant,
       config_.id, config_.replicator);
   if (config_.auto_recover && !n.recovery_hooked) {
     n.recovery_hooked = true;
@@ -54,7 +44,7 @@ void ReplicaGroup::start(int index, bool join_existing) {
       // The restart fires from inside a fault-plan event; rebuild the stack
       // on a fresh event, and only if the process is still up and nothing
       // else (a manual recover) already rebuilt it by then.
-      kernel_.post(kTimeZero, [this, index] {
+      testbed_.kernel().post(kTimeZero, [this, index] {
         auto& b = node(index);
         if (b.process.alive() && b.incarnation != b.process.incarnation()) recover(index);
       });

@@ -4,12 +4,12 @@
 // replicator; it starts, recovers and grows members; and it is the one
 // implementation of knobs::ReplicaGroupController.
 //
-// Both testbeds build their groups from it: harness::Scenario holds one, and
-// shard::ShardedCluster holds one per shard plus the directory group. The
-// owner keeps placement and naming policy and passes in only what differs
-// between testbeds: the member name prefix, the pid counter, the servant
-// factory and the host a grown member lands on. Boot schedules stay with the
-// owner too; the group only starts a member when told to.
+// Groups live on a harness::Testbed: harness::Scenario adds one, and
+// shard::ShardedCluster one per shard plus the directory group. The owner
+// keeps placement and naming policy and passes in only what differs between
+// testbeds: the member name prefix, the pid counter, the servant factory and
+// the host a grown member lands on. Boot schedules stay with the owner too;
+// the group only starts a member when told to.
 #pragma once
 
 #include <functional>
@@ -17,17 +17,13 @@
 #include <string>
 #include <vector>
 
-#include "gcs/daemon.hpp"
 #include "knobs/low_level.hpp"
 #include "orb/orb_core.hpp"
 #include "replication/replicator.hpp"
 
 namespace vdep::harness {
 
-using Daemons = std::vector<std::unique_ptr<gcs::Daemon>>;
-
-// The daemon on `host`; throws std::out_of_range if there is none.
-[[nodiscard]] gcs::Daemon& daemon_on(const Daemons& daemons, NodeId host);
+class Testbed;
 
 class ReplicaGroup final : public knobs::ReplicaGroupController {
  public:
@@ -74,8 +70,7 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
   };
 
   // `next_pid` is the owner's pid counter; each new member takes the next id.
-  ReplicaGroup(sim::Kernel& kernel, net::Network& network, const Daemons& daemons,
-               std::uint64_t& next_pid, Config config);
+  ReplicaGroup(Testbed& testbed, std::uint64_t& next_pid, Config config);
 
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;
@@ -118,9 +113,7 @@ class ReplicaGroup final : public knobs::ReplicaGroupController {
   }
 
  private:
-  sim::Kernel& kernel_;
-  net::Network& network_;
-  const Daemons& daemons_;
+  Testbed& testbed_;
   std::uint64_t& next_pid_;
   Config config_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -18,23 +18,15 @@ constexpr SimTime kClientStartTime = msec(200);
 // Committed-but-unserved CPU time on a replica host that the health plane's
 // queue-depth probe flags.
 constexpr double kCpuBacklogThresholdUs = 100'000.0;
+
+void set_latencies(ExperimentResult& result, const Sampler& merged) {
+  result.avg_latency_us = merged.stats().mean();
+  result.jitter_us = merged.stats().stddev();
+  result.p50_latency_us = merged.percentile(50);
+  result.p99_latency_us = merged.percentile(99);
+  result.max_latency_us = merged.stats().max();
+}
 }  // namespace
-
-struct Scenario::ClientBundle {
-  ClientBundle(Scenario& owner, int index, NodeId host, ProcessId pid)
-      : index(index),
-        process(owner.kernel(), pid, host,
-                "client" + std::to_string(index) + "@" +
-                    owner.network().host_name(host)),
-        orb(owner.network(), process) {}
-
-  int index;
-  sim::Process process;
-  orb::ClientOrb orb;
-  replication::ClientCoordinator* coordinator = nullptr;  // owned by orb
-  std::unique_ptr<app::ClosedLoopClient> closed;
-  std::unique_ptr<app::OpenLoopClient> open;
-};
 
 Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   VDEP_ASSERT(config_.clients >= 1);
@@ -47,48 +39,29 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
 Scenario::~Scenario() = default;
 
 void Scenario::build() {
-  kernel_ = std::make_unique<sim::Kernel>(config_.seed);
-  if (config_.tracing) kernel_->tracer().enable();
-  network_ = std::make_unique<net::Network>(*kernel_);
-  channels_ = std::make_unique<net::ChannelManager>(*network_);
-
-  // Hosts: clients first (so the first client's daemon is the GCS leader,
-  // matching the calibration of the request path), then replica machines.
-  std::vector<NodeId> hosts;
-  for (int c = 0; c < config_.clients; ++c) {
-    hosts.push_back(network_->add_host("cli" + std::to_string(c)));
-  }
-  for (int r = 0; r < config_.max_replicas; ++r) {
-    hosts.push_back(network_->add_host("srv" + std::to_string(r)));
-  }
-
-  for (NodeId host : hosts) {
-    daemons_.push_back(std::make_unique<gcs::Daemon>(
-        *kernel_, *network_, ProcessId{next_pid_++}, host, hosts, gcs::DaemonParams{}));
-  }
-
-  if (config_.health) {
-    health_ = std::make_unique<monitor::health::HealthMonitor>(
-        *kernel_, metrics_, monitor::health::HealthParams{});
-    for (auto& d : daemons_) health_->attach(*d);
+  Layout layout;
+  layout.seed = config_.seed;
+  layout.tracing = config_.tracing;
+  layout.client_hosts = config_.clients;
+  layout.server_hosts = config_.max_replicas;
+  layout.health = config_.health;
+  layout.health_setup = [this](monitor::health::HealthMonitor& health) {
     monitor::health::SloSpec slo;
     slo.name = "service";
     slo.latency_metric = "service.latency_us";
     slo.request_counter = "service.requests";
     slo.failure_counter = "service.failures";
-    health_->add_slo(slo);
+    health.add_slo(slo);
     // Queue-depth probes on the replica machines: committed-but-unserved CPU
     // time is the backlog a gray failure (e.g. a slow host) builds up.
-    for (int r = 0; r < config_.max_replicas; ++r) {
-      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
-      auto& cpu = network_->cpu(host);
-      health_->add_probe("cpu_backlog." + network_->host_name(host),
-                         kCpuBacklogThresholdUs, [&cpu] { return to_usec(cpu.backlog()); });
+    for (NodeId host : server_hosts()) {
+      auto& cpu = network().cpu(host);
+      health.add_probe("cpu_backlog." + network().host_name(host), kCpuBacklogThresholdUs,
+                       [&cpu] { return to_usec(cpu.backlog()); });
     }
-    health_->start();
-  }
-
-  for (auto& d : daemons_) d->boot();
+  };
+  Testbed::build(layout);
+  channels_ = std::make_unique<net::ChannelManager>(network());
 
   // Replicas. Growth takes pids after the clients' and lands on a replica
   // host with no live resident.
@@ -107,8 +80,7 @@ void Scenario::build() {
         config_.state_bytes, config_.reply_bytes, config_.app_exec_time});
   };
   group.pick_growth_host = [this] {
-    for (int r = 0; r < config_.max_replicas; ++r) {
-      const NodeId host{static_cast<std::uint64_t>(config_.clients + r)};
+    for (NodeId host : server_hosts()) {
       const auto& nodes = group_->nodes();
       if (std::none_of(nodes.begin(), nodes.end(), [host](const auto& n) {
             return n->live() && n->process.host() == host;
@@ -122,34 +94,30 @@ void Scenario::build() {
     if (config_.on_replicator_created) config_.on_replicator_created(index, replicator);
     attach_monitoring(index, replicator);
   };
-  next_pid_ = 1000;
-  group_ = std::make_unique<ReplicaGroup>(*kernel_, *network_, daemons_, next_pid_,
-                                          std::move(group));
+  group_ = &add_group(next_pid_, std::move(group));
   for (int r = 0; r < config_.replicas; ++r) {
-    const int index =
-        group_->add_node(NodeId{static_cast<std::uint64_t>(config_.clients + r)});
+    const int index = group_->add_node(server_hosts()[static_cast<std::size_t>(r)]);
     if (config_.replicated) {
-      kernel_->post(kReplicaBootStagger * (r + 1),
+      kernel().post(kReplicaBootStagger * (r + 1),
                     [this, index] { group_->start(index, /*join_existing=*/false); });
     } else if (index == 0) {
-      kernel_->post(kReplicaBootStagger, [this] { start_plain_server(); });
+      kernel().post(kReplicaBootStagger, [this] { start_plain_server(); });
     }
   }
 
-  // Clients.
+  // Clients, one per client machine.
   next_pid_ = 5000;
   for (int c = 0; c < config_.clients; ++c) {
-    const NodeId host{static_cast<std::uint64_t>(c)};
-    auto client = std::make_unique<ClientBundle>(*this, c, host, ProcessId{next_pid_++});
-
+    const NodeId host = client_host(c);
+    std::optional<replication::ClientCoordinatorParams> coordinator;
     if (config_.replicated) {
-      replication::ClientCoordinatorParams params;
-      params.policy = config_.response_policy;
-      auto coordinator = std::make_unique<replication::ClientCoordinator>(
-          *network_, daemon_on(host), client->process, params);
-      client->coordinator = coordinator.get();
-      client->orb.use_transport(std::move(coordinator));
-    } else {
+      coordinator.emplace();
+      coordinator->policy = config_.response_policy;
+    }
+    auto& client = add_client(ProcessId{next_pid_++}, host,
+                              "client" + std::to_string(c) + "@" + network().host_name(host),
+                              coordinator);
+    if (!config_.replicated) {
       std::unique_ptr<orb::ClientTransport> transport =
           std::make_unique<orb::DirectClientTransport>(*channels_, host);
       const bool client_intercepted =
@@ -157,11 +125,10 @@ void Scenario::build() {
           config_.intercept == interpose::InterceptMode::kBoth;
       if (client_intercepted) {
         transport = std::make_unique<interpose::InterceptOnlyClientTransport>(
-            *network_, client->process, std::move(transport));
+            network(), client.process, std::move(transport));
       }
-      client->orb.use_transport(std::move(transport));
+      client.orb.use_transport(std::move(transport));
     }
-    clients_.push_back(std::move(client));
   }
 }
 
@@ -194,7 +161,7 @@ void Scenario::attach_monitoring(int index, replication::Replicator& replicator)
   m.state.reset();
   if (config_.enable_replicated_state || config_.adaptation) {
     auto& process = group_->node(index).process;
-    auto& network = *network_;
+    auto& network = this->network();
     m.state = std::make_unique<monitor::ReplicatedStateObject>(
         daemon_on(process.host()), process, kMonitorGroup,
         [&replicator, &process, &network] {
@@ -214,24 +181,15 @@ void Scenario::attach_monitoring(int index, replication::Replicator& replicator)
     m.adaptation = std::make_unique<adaptive::AdaptationManager>(
         replicator,
         std::make_unique<adaptive::HealthThresholdPolicy>(*config_.health_adaptation));
-    m.adaptation->set_health_source(health_.get());
+    m.adaptation->set_health_source(&health());
     m.adaptation->start();
   }
 }
 
-monitor::health::HealthMonitor& Scenario::health() {
-  VDEP_ASSERT_MSG(health_ != nullptr,
-                  "scenario built without config.health / health_adaptation");
-  return *health_;
-}
-
-gcs::Daemon& Scenario::daemon_on(NodeId host) { return harness::daemon_on(daemons_, host); }
-
 orb::ObjectRef Scenario::object_ref() const {
   orb::ObjectRef ref;
   ref.object_key = ReplicaGroup::kObjectKey;
-  ref.direct = orb::DirectProfile{NodeId{static_cast<std::uint64_t>(config_.clients)},
-                                  kServerPort};
+  ref.direct = orb::DirectProfile{server_hosts().front(), kServerPort};
   ref.group = orb::GroupProfile{kAppGroup};
   return ref;
 }
@@ -242,31 +200,11 @@ replication::Replicator& Scenario::replicator(int index) {
   return *r;
 }
 
-replication::Checkpointable& Scenario::app(int index) { return *group_->node(index).servant; }
-
 app::TestServant& Scenario::servant(int index) {
   auto* typed = dynamic_cast<app::TestServant*>(group_->node(index).servant.get());
   VDEP_ASSERT_MSG(typed != nullptr, "scenario uses a custom servant; call app()");
   return *typed;
 }
-
-sim::Process& Scenario::replica_process(int index) { return group_->node(index).process; }
-
-ProcessId Scenario::replica_pid(int index) const { return group_->node(index).process.id(); }
-
-NodeId Scenario::replica_host(int index) const { return group_->node(index).process.host(); }
-
-void Scenario::arm_faults() {
-  if (faults_armed_ || fault_plan_.empty()) return;
-  faults_armed_ = true;
-  std::vector<sim::Process*> processes;
-  for (auto& d : daemons_) processes.push_back(d.get());
-  for (const auto& n : group_->nodes()) processes.push_back(&n->process);
-  for (auto& c : clients_) processes.push_back(&c->process);
-  fault_plan_.arm(*kernel_, *network_, std::move(processes));
-}
-
-void Scenario::drain(SimTime extra) { kernel_->run_until(kernel_->now() + extra); }
 
 std::vector<std::uint64_t> Scenario::live_state_digests() const {
   std::vector<std::uint64_t> out;
@@ -281,64 +219,61 @@ std::vector<std::uint64_t> Scenario::live_state_digests() const {
 ExperimentResult Scenario::run_closed_loop(CycleConfig cycle) {
   arm_faults();
 
-  int warm_remaining = static_cast<int>(clients_.size());
-  int done_remaining = static_cast<int>(clients_.size());
+  int warm_remaining = config_.clients;
+  int done_remaining = config_.clients;
   SimTime measure_start = kTimeZero;
   std::uint64_t bytes_at_measure_start = 0;
 
-  for (auto& client : clients_) {
+  closed_.resize(static_cast<std::size_t>(config_.clients));
+  for (int c = 0; c < config_.clients; ++c) {
     app::ClosedLoopClient::Config cfg;
     cfg.request_bytes = config_.request_bytes;
     cfg.warmup_requests = cycle.warmup_requests;
     cfg.total_requests = cycle.warmup_requests + cycle.requests_per_client;
-    client->closed =
-        std::make_unique<app::ClosedLoopClient>(client->orb, object_ref(), cfg);
-    client->closed->set_on_warmup_done([&] {
+    auto& closed = closed_[static_cast<std::size_t>(c)];
+    closed = std::make_unique<app::ClosedLoopClient>(client(c).orb, object_ref(), cfg);
+    closed->set_on_warmup_done([&] {
       if (--warm_remaining == 0) {
-        measure_start = kernel_->now();
-        network_->reset_totals();
+        measure_start = kernel().now();
+        network().reset_totals();
         bytes_at_measure_start = 0;
       }
     });
-    client->closed->set_on_done([&] {
-      if (--done_remaining == 0) kernel_->stop();
+    closed->set_on_done([&] {
+      if (--done_remaining == 0) kernel().stop();
     });
     if (health_enabled()) {
-      client->closed->set_on_complete([this](double latency_us) {
-        metrics_.observe("service.latency_us", latency_us);
-        metrics_.add("service.requests");
+      closed->set_on_complete([this](double latency_us) {
+        metrics().observe("service.latency_us", latency_us);
+        metrics().add("service.requests");
       });
     }
-    const int index = client->index;
-    kernel_->post_at(kClientStartTime + usec(250) * index,
-                     [this, index] { clients_[index]->closed->start(); });
+    kernel().post_at(kClientStartTime + usec(250) * c,
+                     [this, c] { closed_[static_cast<std::size_t>(c)]->start(); });
   }
 
-  kernel_->run_until(cycle.max_duration);
+  kernel().run_until(cycle.max_duration);
 
   // Gather.
   ExperimentResult result;
   Sampler merged;
   SimTime last_done = kTimeZero;
-  for (auto& client : clients_) {
-    merged.merge(client->closed->latencies());
-    last_done = std::max(last_done, client->closed->last_completed_at());
-    result.completed += static_cast<std::uint64_t>(client->closed->completed());
-    if (client->coordinator != nullptr) {
-      result.retransmissions += client->coordinator->retransmissions();
+  for (int c = 0; c < config_.clients; ++c) {
+    const auto& closed = *closed_[static_cast<std::size_t>(c)];
+    merged.merge(closed.latencies());
+    last_done = std::max(last_done, closed.last_completed_at());
+    result.completed += static_cast<std::uint64_t>(closed.completed());
+    if (const auto* coordinator = client(c).coordinator) {
+      result.retransmissions += coordinator->retransmissions();
     }
   }
-  result.avg_latency_us = merged.stats().mean();
-  result.jitter_us = merged.stats().stddev();
-  result.p50_latency_us = merged.percentile(50);
-  result.p99_latency_us = merged.percentile(99);
-  result.max_latency_us = merged.stats().max();
+  set_latencies(result, merged);
 
   const SimTime window = last_done - measure_start;
   result.duration_s = to_sec(window);
   if (window > kTimeZero) {
     result.bandwidth_mbps =
-        static_cast<double>(network_->totals().bytes - bytes_at_measure_start) / 1e6 /
+        static_cast<double>(network().totals().bytes - bytes_at_measure_start) / 1e6 /
         to_sec(window);
     result.throughput_rps = static_cast<double>(merged.count()) / to_sec(window);
   }
@@ -353,55 +288,52 @@ OpenLoopResult Scenario::run_open_loop(const OpenLoopConfig& config) {
   // Split the plan's rate across the clients.
   std::vector<app::RatePlan::Segment> scaled;
   for (const auto& seg : config.plan.segments()) {
-    scaled.push_back({seg.start, seg.rate_rps / static_cast<double>(clients_.size())});
+    scaled.push_back({seg.start, seg.rate_rps / static_cast<double>(config_.clients)});
   }
   const app::RatePlan per_client_plan(scaled);
 
-  for (auto& client : clients_) {
+  open_.resize(static_cast<std::size_t>(config_.clients));
+  for (int c = 0; c < config_.clients; ++c) {
     app::OpenLoopClient::Config cfg;
     cfg.request_bytes = config.request_bytes;
     cfg.duration = config.duration;
-    client->open = std::make_unique<app::OpenLoopClient>(
-        client->orb, object_ref(), per_client_plan, cfg,
-        kernel_->fork_rng(0xc11e0000 + static_cast<std::uint64_t>(client->index)));
-    const int index = client->index;
-    kernel_->post_at(kClientStartTime + usec(250) * index,
-                     [this, index] { clients_[index]->open->start(); });
+    open_[static_cast<std::size_t>(c)] = std::make_unique<app::OpenLoopClient>(
+        client(c).orb, object_ref(), per_client_plan, cfg,
+        kernel().fork_rng(0xc11e0000 + static_cast<std::uint64_t>(c)));
+    kernel().post_at(kClientStartTime + usec(250) * c,
+                     [this, c] { open_[static_cast<std::size_t>(c)]->start(); });
   }
 
   // Periodic sampling of the Fig. 6 series.
   const SimTime sample_end = kClientStartTime + config.duration;
   std::function<void()> sample = [&] {
-    if (kernel_->now() > sample_end) return;
+    if (kernel().now() > sample_end) return;
     auto& head = *group_->first_live().replicator;
-    result.observed_rate.record(kernel_->now(), head.observed_request_rate());
+    result.observed_rate.record(kernel().now(), head.observed_request_rate());
     const auto style = head.style();
     const bool active_family = style == replication::ReplicationStyle::kActive ||
                                style == replication::ReplicationStyle::kSemiActive;
-    result.style_series.record(kernel_->now(), active_family ? 1.0 : 0.0);
-    kernel_->post(config.sample_interval, sample);
+    result.style_series.record(kernel().now(), active_family ? 1.0 : 0.0);
+    kernel().post(config.sample_interval, sample);
   };
-  kernel_->post_at(kClientStartTime, sample);
+  kernel().post_at(kClientStartTime, sample);
 
-  const std::uint64_t bytes_before = network_->totals().bytes;
-  kernel_->run_until(kClientStartTime + config.duration + sec(2));
+  const std::uint64_t bytes_before = network().totals().bytes;
+  kernel().run_until(kClientStartTime + config.duration + sec(2));
 
   Sampler merged;
-  for (auto& client : clients_) {
-    merged.merge(client->open->latencies());
-    result.totals.completed += client->open->completed();
-    if (client->coordinator != nullptr) {
-      result.totals.retransmissions += client->coordinator->retransmissions();
+  for (int c = 0; c < config_.clients; ++c) {
+    const auto& open = *open_[static_cast<std::size_t>(c)];
+    merged.merge(open.latencies());
+    result.totals.completed += open.completed();
+    if (const auto* coordinator = client(c).coordinator) {
+      result.totals.retransmissions += coordinator->retransmissions();
     }
   }
-  result.totals.avg_latency_us = merged.stats().mean();
-  result.totals.jitter_us = merged.stats().stddev();
-  result.totals.p50_latency_us = merged.percentile(50);
-  result.totals.p99_latency_us = merged.percentile(99);
-  result.totals.max_latency_us = merged.stats().max();
+  set_latencies(result.totals, merged);
   result.totals.duration_s = to_sec(config.duration);
   result.totals.bandwidth_mbps =
-      static_cast<double>(network_->totals().bytes - bytes_before) / 1e6 /
+      static_cast<double>(network().totals().bytes - bytes_before) / 1e6 /
       to_sec(config.duration);
   result.totals.throughput_rps =
       static_cast<double>(result.totals.completed) / to_sec(config.duration);

@@ -1,8 +1,8 @@
-// Scenario: builds a complete simulated testbed — hosts, daemons, a
-// replicated (or plain) server, clients — runs workloads against it and
-// collects the metrics the paper reports. Mirrors the paper's deployment:
-// one process per host, a group-communication daemon on every host, clients
-// on their own machines ("we were limited to eight computers").
+// Scenario: a single replicated (or plain) server on a harness::Testbed,
+// driven by closed- or open-loop clients, collecting the metrics the paper
+// reports. It keeps the paper's placement: one client per client machine,
+// one replica per server machine, with spare server machines so the group
+// can grow ("we were limited to eight computers").
 //
 // The server group is a harness::ReplicaGroup; group() hands it to the knob
 // layer, which actuates live changes through it: style switches, replica
@@ -16,12 +16,8 @@
 #include "adaptive/adaptation_manager.hpp"
 #include "app/test_app.hpp"
 #include "app/workload.hpp"
-#include "harness/replica_group.hpp"
+#include "harness/testbed.hpp"
 #include "interpose/interposer.hpp"
-#include "monitor/health/health_monitor.hpp"
-#include "net/fault_plan.hpp"
-#include "net/network.hpp"
-#include "replication/client_coordinator.hpp"
 #include "replication/replicator.hpp"
 #include "sim/trace.hpp"
 
@@ -120,7 +116,7 @@ struct OpenLoopResult {
   std::vector<replication::Replicator::SwitchRecord> switches;
 };
 
-class Scenario final {
+class Scenario final : public Testbed {
  public:
   explicit Scenario(ScenarioConfig config);
   ~Scenario();
@@ -142,45 +138,26 @@ class Scenario final {
   };
   OpenLoopResult run_open_loop(const OpenLoopConfig& config);
 
-  // --- faults -------------------------------------------------------------------
-  // Schedule before calling a run method (armed automatically at run start),
-  // or call arm_faults() yourself when driving the kernel manually.
-  net::FaultPlan& fault_plan() { return fault_plan_; }
-  void arm_faults();
-  [[nodiscard]] ProcessId replica_pid(int index) const;
-  [[nodiscard]] NodeId replica_host(int index) const;
-
   // --- accessors ----------------------------------------------------------------
-  [[nodiscard]] sim::Kernel& kernel() { return *kernel_; }
-  [[nodiscard]] net::Network& network() { return *network_; }
+  [[nodiscard]] ProcessId replica_pid(int index) const { return group_->node(index).process.id(); }
+  [[nodiscard]] NodeId replica_host(int index) const { return group_->node(index).process.host(); }
   [[nodiscard]] replication::Replicator& replicator(int index);
   // The replica's application, generically...
-  [[nodiscard]] replication::Checkpointable& app(int index);
+  [[nodiscard]] replication::Checkpointable& app(int index) { return *group_->node(index).servant; }
   // ...and as the default micro-benchmark servant (asserts the scenario was
   // built without a custom factory).
   [[nodiscard]] app::TestServant& servant(int index);
-  [[nodiscard]] sim::Process& replica_process(int index);
-  [[nodiscard]] gcs::Daemon& daemon_on(NodeId host);
+  [[nodiscard]] sim::Process& replica_process(int index) { return group_->node(index).process; }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] orb::ObjectRef object_ref() const;
   // The server group: membership, recovery and the knob controller.
   [[nodiscard]] ReplicaGroup& group() { return *group_; }
   [[nodiscard]] const ReplicaGroup& group() const { return *group_; }
-  // Health plane (health() asserts config.health / health_adaptation).
-  [[nodiscard]] monitor::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] bool health_enabled() const { return health_ != nullptr; }
-  [[nodiscard]] monitor::health::HealthMonitor& health();
-
-  // Lets in-flight work settle after a run stopped at the last client reply
-  // (slower replicas may still have executions queued). Call before
-  // comparing replica states.
-  void drain(SimTime extra = msec(200));
 
   // Consistency probe used by tests: digests of all live, caught-up replicas.
   [[nodiscard]] std::vector<std::uint64_t> live_state_digests() const;
 
  private:
-  struct ClientBundle;
   // A replica's monitoring and adaptation, rebuilt with its replicator.
   struct Monitoring {
     std::unique_ptr<monitor::ReplicatedStateObject> state;
@@ -192,22 +169,17 @@ class Scenario final {
   void attach_monitoring(int index, replication::Replicator& replicator);
 
   ScenarioConfig config_;
-  std::unique_ptr<sim::Kernel> kernel_;
-  std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::ChannelManager> channels_;
-  Daemons daemons_;
-  std::unique_ptr<ReplicaGroup> group_;
+  ReplicaGroup* group_ = nullptr;
   std::vector<Monitoring> monitoring_;  // by replica index
   // Non-replicated modes (Fig. 4 baseline / interception-only bars): replica
   // 0's ORB behind a plain or intercepted TCP acceptor, no replicator.
   std::unique_ptr<orb::DirectServerAcceptor> acceptor_;
   std::unique_ptr<interpose::InterceptOnlyServerAcceptor> intercepting_acceptor_;
-  std::vector<std::unique_ptr<ClientBundle>> clients_;
-  monitor::MetricsRegistry metrics_;
-  std::unique_ptr<monitor::health::HealthMonitor> health_;
-  net::FaultPlan fault_plan_;
-  bool faults_armed_ = false;
-  std::uint64_t next_pid_ = 100;
+  // The run's workload client on each client endpoint, by client index.
+  std::vector<std::unique_ptr<app::ClosedLoopClient>> closed_;
+  std::vector<std::unique_ptr<app::OpenLoopClient>> open_;
+  std::uint64_t next_pid_ = 1000;
 };
 
 }  // namespace vdep::harness

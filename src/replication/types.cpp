@@ -114,7 +114,10 @@ StateTransferMsg StateTransferMsg::decode(const Payload& raw) {
   ByteReader r(raw.owner(), raw);
   StateTransferMsg m;
   m.anchor = read_payload(r);
+  // Each delta is at least its 4-byte length prefix, so a count the frame
+  // cannot hold is rejected before anything is allocated for it.
   const auto n = r.u32();
+  if (n > r.remaining() / 4) throw r.error("delta count exceeds frame", r.pos() - 4);
   m.deltas.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.deltas.push_back(read_payload(r));
   return m;

@@ -170,7 +170,10 @@ ShardMap ShardMap::decode(std::span<const std::uint8_t> raw) {
   }
   ShardMap map;
   map.epoch_ = r.u64();
+  // Each entry is 30 bytes, so a count the frame cannot hold is rejected
+  // before anything is allocated for it.
   const std::uint32_t n = r.u32();
+  if (n > r.remaining() / 30) throw r.error("entry count exceeds frame", r.pos() - 4);
   map.entries_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ShardEntry e;

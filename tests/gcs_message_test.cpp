@@ -158,5 +158,61 @@ TEST(ServiceType, Names) {
   EXPECT_EQ(to_string(ServiceType::kBestEffort), "best_effort");
 }
 
+// Sets the four-byte count at `at` to 0xffffffff (the same in either byte
+// order).
+Bytes with_inflated_count(Bytes wire, std::size_t at) {
+  for (std::size_t i = 0; i < 4; ++i) wire.at(at + i) = 0xff;
+  return wire;
+}
+
+TEST(View, InflatedMemberCountThrowsBeforeAllocating) {
+  View v;
+  v.group = GroupId{7};
+  v.members = {{ProcessId{10}, NodeId{1}}, {ProcessId{20}, NodeId{2}}};
+  // group (8) and view id (8), then the member count.
+  EXPECT_THROW((void)View::decode(with_inflated_count(v.encode(), 16)), DecodeError);
+}
+
+TEST(View, EveryTruncatedPrefixDecodesOrThrowsDecodeError) {
+  View v;
+  v.group = GroupId{7};
+  v.view_id = 3;
+  v.members = {{ProcessId{10}, NodeId{1}}, {ProcessId{20}, NodeId{2}}};
+  const Bytes wire = v.encode();
+  for (std::size_t len = 0; len <= wire.size(); ++len) {
+    try {
+      const View out = View::decode(std::span<const std::uint8_t>(wire.data(), len));
+      EXPECT_EQ(len, wire.size());
+      EXPECT_EQ(out, v);
+    } catch (const DecodeError&) {
+      EXPECT_LT(len, wire.size());
+    }
+  }
+}
+
+TEST(InnerMsg, SyncStateInflatedCountsThrowBeforeAllocating) {
+  // One element of each kind at its smallest encoding.
+  SyncState st;
+  st.buffered.push_back(Ordered{});
+  st.pending.push_back(Forward{});
+  st.views.push_back(View{});
+  st.acks.push_back(OrdAck{});
+  const Payload frame = encode_inner(st);
+  const Bytes wire = frame.to_bytes();
+  // tag (1), term (8), from (8); then each count follows the list before it:
+  // an Ordered is 86 bytes, a Forward 54, a length-prefixed View 24, an
+  // OrdAck 32.
+  ASSERT_EQ(wire.size(), 17u + 4 + 86 + 4 + 54 + 4 + 24 + 4 + 32);
+  for (std::size_t at : {17u, 107u, 165u, 193u}) {
+    EXPECT_THROW((void)decode_inner(Payload::copy_of(with_inflated_count(wire, at))),
+                 DecodeError)
+        << at;
+  }
+  const auto decoded = decode_inner(frame);
+  const auto* d = std::get_if<SyncState>(&decoded);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->acks.size(), 1u);
+}
+
 }  // namespace
 }  // namespace vdep::gcs

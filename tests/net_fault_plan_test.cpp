@@ -119,5 +119,23 @@ TEST(FaultPlanEdge, DecodeRejectsCorruptKind) {
   }
 }
 
+TEST(FaultPlanEdge, EveryTruncatedPrefixDecodesOrThrowsDecodeError) {
+  FaultPlan plan;
+  plan.crash_process(msec(10), ProcessId{4});
+  plan.crash_node(msec(30), NodeId{2});
+  plan.partition_window(msec(60), msec(90), {NodeId{0}, NodeId{1}}, {NodeId{2}});
+  plan.slow_host(msec(70), msec(100), NodeId{1}, 3.5);
+  const Bytes wire = plan.encode();
+  for (std::size_t len = 0; len <= wire.size(); ++len) {
+    try {
+      const FaultPlan out = FaultPlan::decode(std::span<const std::uint8_t>(wire.data(), len));
+      EXPECT_EQ(len, wire.size());
+      EXPECT_EQ(out, plan);
+    } catch (const DecodeError&) {
+      EXPECT_LT(len, wire.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vdep::net

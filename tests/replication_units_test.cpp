@@ -447,6 +447,36 @@ TEST(Checkpoint, DeltaCpuTimeChargesDirtyBytesClampedAtFull) {
   EXPECT_EQ(checkpoint_cpu_time(1'000'000, 100'000'000, 100e6), msec(10));
 }
 
+TEST(StateTransferMsgCodec, InflatedDeltaCountThrowsBeforeAllocating) {
+  StateTransferMsg msg;
+  msg.anchor = filler_bytes(8, 1);
+  msg.deltas.push_back(filler_bytes(4, 2));
+  Bytes wire = msg.encode();
+  // The anchor (4-byte length + 8 bytes), then the delta count.
+  for (std::size_t i = 12; i < 16; ++i) wire[i] = 0xff;
+  EXPECT_THROW((void)StateTransferMsg::decode(Payload::copy_of(wire)), DecodeError);
+}
+
+TEST(StateTransferMsgCodec, EveryTruncatedPrefixDecodesOrThrowsDecodeError) {
+  StateTransferMsg msg;
+  msg.anchor = filler_bytes(12, 1);
+  msg.deltas.push_back(filler_bytes(5, 2));
+  msg.deltas.push_back(filler_bytes(0, 3));
+  msg.deltas.push_back(filler_bytes(3, 4));
+  const Bytes wire = msg.encode();
+  for (std::size_t len = 0; len <= wire.size(); ++len) {
+    try {
+      const StateTransferMsg out = StateTransferMsg::decode(
+          Payload::copy_of(std::span<const std::uint8_t>(wire.data(), len)));
+      EXPECT_EQ(len, wire.size());
+      EXPECT_EQ(out.anchor, msg.anchor);
+      EXPECT_EQ(out.deltas, msg.deltas);
+    } catch (const DecodeError&) {
+      EXPECT_LT(len, wire.size());
+    }
+  }
+}
+
 TEST(SwitchMsgCodec, RoundTrip) {
   SwitchMsg msg;
   msg.target = ReplicationStyle::kSemiActive;

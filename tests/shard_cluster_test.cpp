@@ -171,5 +171,20 @@ TEST(ShardClusterTest, PerShardKnobsActuateIndependently) {
             replication::ReplicationStyle::kWarmPassive);
 }
 
+TEST(ShardClusterTest, CrashNodeKillsThatHostsDaemon) {
+  // A node crash takes down every process on the host, its GCS daemon
+  // included; restoring the host brings none of them back.
+  ShardedCluster cluster(small_cluster(4));
+  const NodeId host = cluster.server_hosts()[1];
+  cluster.fault_plan().crash_node(msec(400), host);
+  cluster.fault_plan().restore_node(msec(600), host);
+  ShardedCluster::WorkloadConfig wc;
+  wc.ops_per_client = 20;
+  (void)cluster.run_workload(wc);
+  cluster.drain();
+  EXPECT_FALSE(cluster.daemon_on(host).alive());
+  EXPECT_TRUE(cluster.daemon_on(cluster.server_hosts().front()).alive());
+}
+
 }  // namespace
 }  // namespace vdep::shard

@@ -241,5 +241,26 @@ TEST(DirectoryServantTest, CommitRequiresNextEpoch) {
   EXPECT_EQ(got.map, next);
 }
 
+TEST(ShardMapTest, InflatedEntryCountThrowsBeforeAllocating) {
+  Bytes wire = ShardMap::uniform(3, 10, test_policy()).encode();
+  // magic (4), version (1), epoch (8), then the entry count.
+  for (std::size_t i = 13; i < 17; ++i) wire[i] = 0xff;
+  EXPECT_THROW((void)ShardMap::decode(wire), DecodeError);
+}
+
+TEST(ShardMapTest, EveryTruncatedPrefixDecodesOrThrowsDecodeError) {
+  const ShardMap map = ShardMap::uniform(3, 10, test_policy());
+  const Bytes wire = map.encode();
+  for (std::size_t len = 0; len <= wire.size(); ++len) {
+    try {
+      const ShardMap out = ShardMap::decode(std::span<const std::uint8_t>(wire.data(), len));
+      EXPECT_EQ(len, wire.size());
+      EXPECT_EQ(out, map);
+    } catch (const DecodeError&) {
+      EXPECT_LT(len, wire.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vdep::shard
