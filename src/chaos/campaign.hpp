@@ -21,6 +21,7 @@
 #include "chaos/schedule.hpp"
 #include "monitor/metrics.hpp"
 #include "replication/types.hpp"
+#include "sim/trace.hpp"
 
 namespace vdep::chaos {
 
@@ -47,25 +48,24 @@ struct TrialConfig {
 
   // Deliberate safety bug (reply dedup disabled) — used to validate that
   // the oracles actually catch violations. See ReplicatorParams.
-  // Single-group trials only: sharded trials ignore it.
+  // Single-group trials only: run_trial throws std::invalid_argument when it
+  // is set with shards > 1.
   bool inject_dedup_bug = false;
-
-  // Record a structured trace and digest it (determinism tests).
-  // Single-group trials only: sharded trials ignore it.
-  bool record_trace = false;
 
   // Live health plane: attach a HealthMonitor to the trial scenario, feed
   // client latencies into the service SLO, and judge the run with the
   // detection oracle — every injected crash/partition must be flagged within
   // detection_bound, and fault-free control trials must raise no alarm.
-  // Single-group trials only: sharded trials ignore it (and detection_bound).
+  // Single-group trials only: sharded trials ignore it (and detection_bound),
+  // so a campaign that sweeps shard_counts {1, N} may set it for both.
   bool health = false;
   SimTime detection_bound = msec(400);
 
   // Record causal spans (obs::Tracer) during the trial and attach a
   // Chrome-trace flight recording to the result. Deterministic: re-running
   // the same (seed, config) reproduces the recording byte for byte, which is
-  // how failing campaign trials get their post-mortem recordings.
+  // how failing campaign trials get their post-mortem recordings and what
+  // the determinism tests compare, on both testbeds.
   bool record_spans = false;
 
   // Sharded scale-out trials: shards > 1 builds a shard::ShardedCluster
@@ -88,7 +88,6 @@ struct TrialResult {
   SimTime last_fault_end = kTimeZero;
   double recovery_ms = 0.0;  // last fault effect -> workload completion
   std::uint64_t completed_ops = 0;
-  std::uint64_t trace_digest = 0;  // fnv1a over the rendered trace
 
   // Span telemetry (populated when TrialConfig::record_spans is set).
   std::uint64_t spans_recorded = 0;

@@ -24,10 +24,8 @@ std::vector<std::string> parse_tokens(const std::string& log_value) {
   return out;
 }
 
-WorkloadClient::WorkloadClient(sim::Process& process, Config config, Rng rng, Send send,
-                               sim::TraceRecorder* trace)
-    : process_(process), config_(std::move(config)), rng_(rng), send_(std::move(send)),
-      trace_(trace) {}
+WorkloadClient::WorkloadClient(sim::Process& process, Config config, Rng rng, Send send)
+    : process_(process), config_(std::move(config)), rng_(rng), send_(std::move(send)) {}
 
 void WorkloadClient::start() {
   process_.kernel().post_at(config_.start_at + config_.stagger * config_.index,
@@ -58,11 +56,6 @@ void WorkloadClient::issue_next() {
 
   const std::size_t slot = history_.size();
   history_.push_back(rec);
-  if (trace_ != nullptr) {
-    trace_->add(process_.now(), "client" + std::to_string(config_.index),
-                "issue " + rec.op + " " + rec.key +
-                    (rec.token.empty() ? "" : " " + rec.token));
-  }
 
   send_(rec, value, [this, slot](bool ok) {
     OpRecord& done = history_[slot];
@@ -70,10 +63,6 @@ void WorkloadClient::issue_next() {
     done.ok = ok;
     last_completed_ = process_.now();
     ++completed_;
-    if (trace_ != nullptr) {
-      trace_->add(process_.now(), "client" + std::to_string(config_.index),
-                  "complete " + done.op + " " + done.key + (done.ok ? " ok" : " fail"));
-    }
     if (this->done()) {
       if (on_done) on_done();
     } else {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sim/actor.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace vdep::chaos {
@@ -61,9 +60,8 @@ class WorkloadClient {
   using Done = std::function<void(bool ok)>;
   using Send = std::function<void(const OpRecord& op, const std::string& value, Done done)>;
 
-  // `process` paces the client (its crash silences it); `trace` may be null.
-  WorkloadClient(sim::Process& process, Config config, Rng rng, Send send,
-                 sim::TraceRecorder* trace);
+  // `process` paces the client (its crash silences it).
+  WorkloadClient(sim::Process& process, Config config, Rng rng, Send send);
 
   // Schedules the first request.
   void start();
@@ -83,7 +81,6 @@ class WorkloadClient {
   Config config_;
   Rng rng_;
   Send send_;
-  sim::TraceRecorder* trace_;
   std::uint64_t next_seq_ = 0;
   int completed_ = 0;
   SimTime last_completed_ = kTimeZero;

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "app/kv_store.hpp"
 #include "chaos/history.hpp"
@@ -35,7 +36,6 @@ class ClassicTestbed {
  public:
   explicit ClassicTestbed(const TrialConfig& config)
       : config_(config), incarnations_(static_cast<std::size_t>(config.replicas), 0) {
-    if (config.record_trace) trace_.enable();
     harness::ScenarioConfig sc;
     sc.seed = config.seed;
     sc.clients = config.clients;
@@ -49,50 +49,26 @@ class ClassicTestbed {
     sc.skip_reply_dedup = config.inject_dedup_bug;
     sc.tracing = config.record_spans;
     sc.health = config.health;
-    sc.make_servant = [this](int index) {
-      auto servant = std::make_unique<app::KvStoreServant>();
-      servant->set_on_apply([this, index](const std::string& op, const std::string& key) {
-        if (trace_.enabled() && kernel_ != nullptr) {
-          trace_.add(kernel_->now(), "replica" + std::to_string(index),
-                     "apply " + op + " " + key);
-        }
-      });
-      return servant;
-    };
+    sc.make_servant = [](int) { return std::make_unique<app::KvStoreServant>(); };
     sc.on_replicator_created = [this](int index, replication::Replicator& rep) {
       const std::uint64_t incarnation = incarnations_[static_cast<std::size_t>(index)]++;
       rep.set_on_checkpoint([this, index, incarnation](std::uint64_t id) {
         checkpoints_.push_back({index, incarnation, id});
-        if (trace_.enabled() && kernel_ != nullptr) {
-          trace_.add(kernel_->now(), "replica" + std::to_string(index),
-                     "checkpoint " + std::to_string(id));
-        }
       });
     };
     scenario_ = std::make_unique<harness::Scenario>(sc);
-    kernel_ = &scenario_->kernel();
   }
 
-  sim::Kernel& kernel() { return *kernel_; }
+  harness::Testbed& testbed() { return *scenario_; }
 
   net::FaultPlan generate(Rng& rng) {
     return generate_schedule(rng, config_.faults, *scenario_);
   }
 
-  void arm(const net::FaultPlan& plan) {
-    scenario_->fault_plan() = plan;
-    if (trace_.enabled()) {
-      for (const auto& a : plan.actions()) trace_.add(a.at, "faultplan", a.to_string());
-    }
-    scenario_->arm_faults();
-  }
-
-  // Client c runs as its own process on client host c, with its own ORB and
-  // ClientCoordinator, and keeps to its own keys.
+  // Client c is the Scenario's own endpoint on client host c (pid 5000+c),
+  // with its ORB and ClientCoordinator, and keeps to its own keys.
   std::unique_ptr<WorkloadClient> client(int c, WorkloadClient::Config wc, Rng rng) {
-    auto& endpoint =
-        scenario_->add_client(ProcessId{7000 + static_cast<std::uint64_t>(c)},
-                              scenario_->client_host(c), "chaos-client" + std::to_string(c));
+    auto& endpoint = scenario_->client(c);
     wc.start_at = msec(250);
     wc.stagger = usec(125);
     wc.key_prefix = "kv:c" + std::to_string(c) + ":";
@@ -108,7 +84,8 @@ class ClassicTestbed {
                    const bool ok = status == orb::ReplyStatus::kNoException;
                    if (scenario_->health_enabled()) {
                      auto& metrics = scenario_->metrics();
-                     metrics.observe("service.latency_us", to_usec(kernel_->now() - issued_at));
+                     metrics.observe("service.latency_us",
+                                     to_usec(scenario_->kernel().now() - issued_at));
                      metrics.add("service.requests");
                      if (!ok) metrics.add("service.failures");
                    }
@@ -116,8 +93,7 @@ class ClassicTestbed {
                  });
     };
     return std::make_unique<WorkloadClient>(endpoint.process, std::move(wc), rng,
-                                            std::move(send),
-                                            trace_.enabled() ? &trace_ : nullptr);
+                                            std::move(send));
   }
 
   [[nodiscard]] SimTime busy_until() const { return kTimeZero; }
@@ -129,8 +105,8 @@ class ClassicTestbed {
       // workload finishes early, keep the simulation alive through the last
       // fault effect plus the detection bound instead of stopping with late
       // faults still pending.
-      kernel_->run_until(scenario_->fault_plan().last_effect_end() +
-                         config_.detection_bound + msec(200));
+      scenario_->kernel().run_until(scenario_->fault_plan().last_effect_end() +
+                                    config_.detection_bound + msec(200));
     }
     scenario_->drain(msec(500));  // let replies, checkpoints and joins settle
   }
@@ -170,11 +146,6 @@ class ClassicTestbed {
       result.verdict.merge(check_detection(hobs));
       result.health_observation = std::move(hobs);
     }
-    if (trace_.enabled()) {
-      const std::string rendered = trace_.render();
-      result.trace_digest = fnv1a(
-          {reinterpret_cast<const std::uint8_t*>(rendered.data()), rendered.size()});
-    }
   }
 
  private:
@@ -200,11 +171,9 @@ class ClassicTestbed {
   }
 
   const TrialConfig& config_;
-  sim::TraceRecorder trace_;
   std::vector<TrialObservation::CheckpointEvent> checkpoints_;
   std::vector<std::uint64_t> incarnations_;  // per replica, bumped per rebuild
   std::unique_ptr<harness::Scenario> scenario_;
-  sim::Kernel* kernel_ = nullptr;
 };
 
 // A shard::ShardedCluster (replicated directory, one replica group per
@@ -236,15 +205,10 @@ class ShardTestbed {
     }
   }
 
-  sim::Kernel& kernel() { return cluster_->kernel(); }
+  harness::Testbed& testbed() { return *cluster_; }
 
   net::FaultPlan generate(Rng& rng) {
     return make_shard_plan(rng, config_.faults, *cluster_, split_times_);
-  }
-
-  void arm(const net::FaultPlan& plan) {
-    cluster_->fault_plan() = plan;
-    cluster_->arm_faults();
   }
 
   // Client c sends through its router, over a key space that straddles
@@ -269,7 +233,7 @@ class ShardTestbed {
       }
     };
     return std::make_unique<WorkloadClient>(cluster_->client(c).process,
-                                            std::move(wc), rng, std::move(send), nullptr);
+                                            std::move(wc), rng, std::move(send));
   }
 
   [[nodiscard]] SimTime busy_until() const {
@@ -378,16 +342,18 @@ class ShardTestbed {
   std::vector<SimTime> split_times_;
 };
 
-// Runs one trial on `Testbed`: `plan` when given, else a schedule generated
-// from the trial seed.
-template <typename Testbed>
+// Runs one trial on `Bed`: `plan` when given, else a schedule generated from
+// the trial seed.
+template <typename Bed>
 TrialResult drive(const TrialConfig& config, const net::FaultPlan* plan) {
-  Testbed bed(config);
+  Bed bed(config);
+  harness::Testbed& testbed = bed.testbed();
   // A generated schedule derives from the trial seed through its own
   // stream, fully decoupled from the simulation's randomness.
   Rng plan_rng = Rng(config.seed).fork(0xfa017);
   const net::FaultPlan active_plan = plan != nullptr ? *plan : bed.generate(plan_rng);
-  bed.arm(active_plan);
+  testbed.fault_plan() = active_plan;
+  testbed.arm_faults();
 
   std::vector<std::unique_ptr<WorkloadClient>> clients;
   int remaining = config.clients;
@@ -399,8 +365,8 @@ TrialResult drive(const TrialConfig& config, const net::FaultPlan* plan) {
     wc.append_ratio = config.append_ratio;
     auto client =
         bed.client(c, std::move(wc), Rng(config.seed).fork(0xc1a0 + static_cast<std::uint64_t>(c)));
-    client->on_done = [&bed, &remaining] {
-      if (--remaining == 0) bed.kernel().stop();
+    client->on_done = [&testbed, &remaining] {
+      if (--remaining == 0) testbed.kernel().stop();
     };
     client->start();
     clients.push_back(std::move(client));
@@ -409,7 +375,7 @@ TrialResult drive(const TrialConfig& config, const net::FaultPlan* plan) {
   const SimTime deadline =
       std::max({config.hard_deadline, bed.busy_until(),
                 active_plan.last_effect_end() + config.recovery_bound + sec(2)});
-  bed.kernel().run_until(deadline);
+  testbed.kernel().run_until(deadline);
   const bool all_done = remaining == 0;
   bed.settle();
 
@@ -436,7 +402,7 @@ TrialResult drive(const TrialConfig& config, const net::FaultPlan* plan) {
       finished > result.last_fault_end ? to_usec(finished - result.last_fault_end) / 1000.0
                                        : 0.0;
   if (config.record_spans) {
-    const obs::Tracer& tracer = bed.kernel().tracer();
+    const obs::Tracer& tracer = testbed.kernel().tracer();
     result.spans_recorded = tracer.spans_recorded();
     result.spans_dropped = tracer.spans_dropped();
     result.flight_recording = obs::to_chrome_trace(tracer);
@@ -446,6 +412,9 @@ TrialResult drive(const TrialConfig& config, const net::FaultPlan* plan) {
 }
 
 TrialResult run(const TrialConfig& config, const net::FaultPlan* plan) {
+  if (config.shards > 1 && config.inject_dedup_bug) {
+    throw std::invalid_argument("inject_dedup_bug needs a single-group trial (shards == 1)");
+  }
   return config.shards > 1 ? drive<ShardTestbed>(config, plan)
                            : drive<ClassicTestbed>(config, plan);
 }

@@ -83,13 +83,7 @@ ReplicaGroup& Testbed::add_group(std::uint64_t& next_pid, ReplicaGroup::Config c
 void Testbed::arm_faults() {
   if (faults_armed_ || fault_plan_.empty()) return;
   faults_armed_ = true;
-  std::vector<sim::Process*> processes;
-  for (auto& d : daemons_) processes.push_back(d.get());
-  for (const auto& g : groups_) {
-    for (const auto& n : g->nodes()) processes.push_back(&n->process);
-  }
-  for (auto& c : clients_) processes.push_back(&c->process);
-  fault_plan_.arm(*kernel_, *network_, std::move(processes));
+  fault_plan_.arm(*kernel_, *network_);
 }
 
 void Testbed::drain(SimTime extra) { kernel_->run_until(kernel_->now() + extra); }

@@ -62,8 +62,10 @@ class Testbed {
   [[nodiscard]] ClientEndpoint& client(int i) { return *clients_.at(static_cast<std::size_t>(i)); }
 
   // Schedule faults before the owner's run method (which arms them), or call
-  // arm_faults() when driving the kernel by hand. Arming resolves the plan
-  // against the daemons, group members and client endpoints existing then.
+  // arm_faults() when driving the kernel by hand. Each action finds its
+  // targets in the kernel's process table when it fires, so members grown
+  // and groups provisioned after arming are crashable too, and so is every
+  // other process on a crashed host (a sharded cluster's migrator on "cli0").
   [[nodiscard]] net::FaultPlan& fault_plan() { return fault_plan_; }
   void arm_faults();
 

@@ -9,13 +9,6 @@ namespace vdep::net {
 
 namespace {
 
-sim::Process* find_process(const std::vector<sim::Process*>& processes, ProcessId pid) {
-  for (auto* p : processes) {
-    if (p->id() == pid) return p;
-  }
-  return nullptr;
-}
-
 std::string time_str(SimTime t) { return std::to_string(to_usec(t) / 1000.0) + "ms"; }
 
 std::string set_str(const std::set<NodeId>& s) {
@@ -87,21 +80,24 @@ struct ArmRuntime {
   }
 };
 
-void apply_point(const FaultAction& action, Network& net,
-                 const std::vector<sim::Process*>& procs) {
+// Targets resolve in the kernel's process table when the action fires, so a
+// process built after arming is hit and one already destroyed is skipped.
+void apply_point(const FaultAction& action, sim::Kernel& kernel, Network& net) {
   switch (action.kind) {
     case FaultAction::Kind::kCrashProcess:
-      if (auto* p = find_process(procs, action.pid)) p->crash();
+      if (auto* p = kernel.find_process(action.pid)) p->crash();
       break;
     case FaultAction::Kind::kRestartProcess:
       // Restarting a never-crashed (still alive) process is a no-op by
       // Process::restart's idempotence; schedules stay valid after shrinking
       // drops the matching crash.
-      if (auto* p = find_process(procs, action.pid)) p->restart();
+      if (auto* p = kernel.find_process(action.pid)) p->restart();
       break;
     case FaultAction::Kind::kCrashNode:
+      // In construction order. Crash listeners neither build nor destroy
+      // processes, so the table is stable while this walks it.
       net.set_host_up(action.node, false);
-      for (auto* p : procs) {
+      for (auto* p : kernel.processes()) {
         if (p->host() == action.node) p->crash();
       }
       break;
@@ -264,8 +260,7 @@ FaultPlan FaultPlan::decode(std::span<const std::uint8_t> raw) {
   return plan;
 }
 
-void FaultPlan::arm(sim::Kernel& kernel, Network& network,
-                    std::vector<sim::Process*> processes) const {
+void FaultPlan::arm(sim::Kernel& kernel, Network& network) const {
   auto runtime = std::make_shared<ArmRuntime>();
   for (const auto& action : actions_) {
     if (action.kind == FaultAction::Kind::kLossBurst) {
@@ -287,8 +282,8 @@ void FaultPlan::arm(sim::Kernel& kernel, Network& network,
         runtime->apply(network);
       });
     } else {
-      kernel.post_at(action.at, [&network, processes, action] {
-        apply_point(action, network, processes);
+      kernel.post_at(action.at, [&kernel, &network, action] {
+        apply_point(action, kernel, network);
       });
     }
   }

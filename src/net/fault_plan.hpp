@@ -63,6 +63,8 @@ class FaultPlan {
  public:
   void crash_process(SimTime at, ProcessId pid);
   void restart_process(SimTime at, ProcessId pid);
+  // Takes the host down and crashes every process then on it, a sharded
+  // cluster's migrator on "cli0" included.
   void crash_node(SimTime at, NodeId node);
   void restore_node(SimTime at, NodeId node);
   // Transient communication fault: both directions of (a, b) drop packets
@@ -79,11 +81,10 @@ class FaultPlan {
 
   void add(FaultAction action) { actions_.push_back(std::move(action)); }
 
-  // Installs all scheduled faults on the kernel. `processes` is the registry
-  // of every crashable process in the scenario (used to resolve pids and to
-  // find a node's resident processes).
-  void arm(sim::Kernel& kernel, Network& network,
-           std::vector<sim::Process*> processes) const;
+  // Installs all scheduled faults on the kernel. Process and node actions
+  // look their targets up in the kernel's process table when they fire, so
+  // a process built after arming is hit and one destroyed before is skipped.
+  void arm(sim::Kernel& kernel, Network& network) const;
 
   [[nodiscard]] const std::vector<FaultAction>& actions() const { return actions_; }
   [[nodiscard]] bool empty() const { return actions_.empty(); }

@@ -97,6 +97,14 @@ void Replicator::on_group_message(const gcs::GroupMessage& msg) {
         // for everything the handlers do synchronously.
         obs::Tracer::Scope scope(process_.kernel().tracer(), msg.trace);
         RepEnvelope env = RepEnvelope::decode(msg.payload);
+        // State cut by a process outside this replica's view is stale: a dead
+        // primary's checkpoint can be ordered after the view that dropped it,
+        // and installing it would roll back replies the promoted backup has
+        // already sent. Before its first view a joiner accepts any state.
+        using T = RepEnvelope::Type;
+        const bool state = env.type == T::kCheckpoint ||
+                           env.type == T::kCheckpointDelta || env.type == T::kStateTransfer;
+        if (state && view_ && !view_->contains(msg.sender)) return;
         switch (env.type) {
           case RepEnvelope::Type::kRequest:
             handle_request_envelope(msg, std::move(env.payload));

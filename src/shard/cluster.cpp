@@ -99,7 +99,8 @@ void ShardedCluster::build() {
     routers_.push_back(std::make_unique<ShardRouter>(client.orb, initial_map_, rp, &metrics()));
   }
 
-  // Migration controller on the (never-faulted) first client host.
+  // Migration controller on the first client host, which generated shard
+  // plans never fault; an explicit crash_node of that host kills it.
   MigrationController::Params mp;
   mp.object_key = harness::ReplicaGroup::kObjectKey;
   mp.directory_group = GroupId{kDirectoryGroupValue};

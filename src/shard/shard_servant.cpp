@@ -205,8 +205,8 @@ ShardServant::Result ShardServant::install(std::uint64_t id, KeyRange range,
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::string key = r.str();
     const std::string value = r.str();
-    // Through the inner invoke so dirty-set tracking and on_apply stay
-    // coherent with normal writes.
+    // Through the inner invoke so dirty-set tracking stays coherent with
+    // normal writes.
     Result put = inner_.invoke("put", app::KvStoreServant::encode_put(key, value));
     cpu = cpu + put.cpu_time;
   }

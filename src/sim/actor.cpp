@@ -5,7 +5,11 @@
 namespace vdep::sim {
 
 Process::Process(Kernel& kernel, ProcessId id, NodeId host, std::string name)
-    : kernel_(kernel), id_(id), host_(host), name_(std::move(name)) {}
+    : kernel_(kernel), id_(id), host_(host), name_(std::move(name)) {
+  kernel_.register_process(*this);
+}
+
+Process::~Process() { kernel_.unregister_process(*this); }
 
 void Process::crash() {
   if (!alive_) return;

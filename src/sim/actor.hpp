@@ -18,8 +18,10 @@ namespace vdep::sim {
 
 class Process {
  public:
+  // Adds itself to the kernel's process table (see Kernel::find_process) and
+  // leaves it on destruction.
   Process(Kernel& kernel, ProcessId id, NodeId host, std::string name);
-  virtual ~Process() = default;
+  virtual ~Process();
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;

@@ -1,5 +1,6 @@
 #include "sim/kernel.hpp"
 
+#include "sim/actor.hpp"
 #include "util/assert.hpp"
 
 namespace vdep::sim {
@@ -14,6 +15,20 @@ EventHandle Kernel::post(SimTime delay, EventFn fn) {
 EventHandle Kernel::post_at(SimTime at, EventFn fn) {
   VDEP_ASSERT_MSG(at >= now_, "cannot schedule in the past");
   return queue_.schedule(at, std::move(fn));
+}
+
+Process* Kernel::find_process(ProcessId pid) const {
+  auto it = process_index_.find(pid);
+  return it != process_index_.end() ? *it->second : nullptr;
+}
+
+void Kernel::register_process(Process& p) {
+  const bool fresh = process_index_.emplace(p.id(), processes_.insert(processes_.end(), &p)).second;
+  VDEP_ASSERT_MSG(fresh, "pid registered twice on one kernel");
+}
+
+void Kernel::unregister_process(const Process& p) {
+  processes_.erase(process_index_.extract(p.id()).mapped());
 }
 
 void Kernel::execute_one() {

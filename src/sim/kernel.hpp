@@ -3,7 +3,9 @@
 //
 // Everything in the repository — network, group communication, ORB,
 // replicator, workloads — runs as callbacks scheduled on one Kernel, so a
-// whole distributed experiment is a single deterministic computation.
+// whole distributed experiment is a single deterministic computation. The
+// kernel also keeps the table of its simulated processes, which is where
+// the fault plan finds a crash's targets.
 //
 // A Kernel and its entire object graph (tracer, interner, pools, every
 // component scheduled on it) are confined to one thread at a time. Parallel
@@ -13,13 +15,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
+#include <unordered_map>
 
 #include "obs/tracer.hpp"
 #include "sim/event_queue.hpp"
+#include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace vdep::sim {
+
+class Process;
 
 class Kernel {
  public:
@@ -66,7 +73,17 @@ class Kernel {
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
 
+  // The process table: every Process constructed on this kernel and not yet
+  // destroyed (crashed ones included), in construction order. A Process
+  // registers itself; a pid is registered at most once at a time.
+  [[nodiscard]] const std::list<Process*>& processes() const { return processes_; }
+  [[nodiscard]] Process* find_process(ProcessId pid) const;
+
  private:
+  friend class Process;
+  void register_process(Process& process);
+  void unregister_process(const Process& process);
+
   void execute_one();
 
   SimTime now_ = kTimeZero;
@@ -75,6 +92,8 @@ class Kernel {
   bool stopped_ = false;
   std::uint64_t executed_ = 0;
   obs::Tracer tracer_{[this] { return now_; }};
+  std::list<Process*> processes_;
+  std::unordered_map<ProcessId, std::list<Process*>::iterator> process_index_;
 };
 
 }  // namespace vdep::sim

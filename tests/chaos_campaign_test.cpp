@@ -4,6 +4,8 @@
 // and the full suite.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chaos/campaign.hpp"
 
 namespace vdep::chaos {
@@ -46,6 +48,29 @@ TEST(ChaosCampaign, TwoHundredTrialsAllStylesAllOraclesHold) {
   const auto* recovery = result.metrics.distribution("chaos.recovery_ms");
   ASSERT_NE(recovery, nullptr);
   EXPECT_EQ(recovery->count(), 200u);
+}
+
+// The fleet campaigns that once caught warm passive installing a dead
+// primary's late checkpoint (seed 2004 trial 91, seed 2005 trial 326):
+// classic and 4-shard trials with the health plane on.
+TEST(ChaosCampaign, FleetSeeds2004And2005AllOraclesHold) {
+  for (std::uint64_t seed : {2004, 2005}) {
+    CampaignConfig config;
+    config.seed = seed;
+    config.trials = 400;
+    config.shard_counts = {1, 4};
+    config.base.health = true;
+    config.workers = 4;
+    const CampaignResult result = run_campaign(config);
+    for (const auto& failure : result.failures) {
+      std::string all;
+      for (const auto& f : failure.failures) all += f + "\n  ";
+      ADD_FAILURE() << "seed " << seed << " trial " << failure.trial_index << ":\n  " << all
+                    << "schedule:\n"
+                    << failure.plan.to_string();
+    }
+    EXPECT_EQ(result.passed, 400) << "seed " << seed;
+  }
 }
 
 }  // namespace

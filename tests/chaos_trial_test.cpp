@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "chaos/campaign.hpp"
 #include "harness/scenario.hpp"
@@ -65,13 +67,35 @@ TEST(ChaosTrial, GeneratedScheduleSmokeTrialPasses) {
   EXPECT_TRUE(result.observation.all_clients_done);
 }
 
+// What the trial observed besides its verdict, flattened: every op's
+// history (op, key, token, issue and completion times, status) and every
+// checkpoint event, in order.
+std::string observation_witness(const TrialResult& r) {
+  std::string out;
+  for (const auto& op : r.observation.history) {
+    out += "c" + std::to_string(op.client) + "#" + std::to_string(op.seq) + " " + op.op +
+           " " + op.key + " " + op.token + " " + std::to_string(op.issued_at.count()) + " " +
+           (op.completed_at ? std::to_string(op.completed_at->count()) : "-") +
+           (op.ok ? " ok\n" : " fail\n");
+  }
+  for (const auto& cp : r.observation.checkpoints) {
+    out += "checkpoint replica" + std::to_string(cp.replica) + " inc" +
+           std::to_string(cp.incarnation) + " id" + std::to_string(cp.checkpoint_id) + "\n";
+  }
+  return out;
+}
+
+// The determinism witness is the flight recording, together with the
+// observed history and checkpoints.
 TEST(ChaosTrial, SameSeedSameConfigIsByteIdentical) {
   TrialConfig config = small_trial(23);
-  config.record_trace = true;
+  config.record_spans = true;
   const TrialResult a = run_trial(config);
   const TrialResult b = run_trial(config);
-  ASSERT_NE(a.trace_digest, 0u);
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
+  ASSERT_FALSE(a.flight_recording.empty());
+  ASSERT_FALSE(a.observation.checkpoints.empty());
+  EXPECT_EQ(a.flight_recording, b.flight_recording);
+  EXPECT_EQ(observation_witness(a), observation_witness(b));
   EXPECT_EQ(a.plan, b.plan);
   EXPECT_EQ(a.completed_ops, b.completed_ops);
   EXPECT_EQ(a.finished_at, b.finished_at);
@@ -79,7 +103,8 @@ TEST(ChaosTrial, SameSeedSameConfigIsByteIdentical) {
   TrialConfig other = config;
   other.seed = 24;
   const TrialResult c = run_trial(other);
-  EXPECT_NE(a.trace_digest, c.trace_digest);
+  EXPECT_NE(a.flight_recording, c.flight_recording);
+  EXPECT_NE(observation_witness(a), observation_witness(c));
 }
 
 TEST(ChaosTrial, RecordedSpansMakeDeterministicFlightRecordings) {
@@ -174,6 +199,56 @@ TEST(ChaosTrial, ShardedTrialRunsExactlyTheGivenPlan) {
   const TrialResult fault_free = run_trial(config, net::FaultPlan{});
   EXPECT_TRUE(fault_free.plan.empty()) << fault_free.plan.to_string();
   EXPECT_TRUE(fault_free.pass()) << fault_free.verdict.to_string();
+}
+
+// The recorded clients are the testbed's own client processes: an explicit
+// plan that crashes client 0's pid silences client 0.
+TEST(ChaosTrial, ExplicitPlanCrashingAClientPidStopsThatClient) {
+  const TrialConfig config = small_trial(11);
+  harness::ScenarioConfig sc;
+  sc.clients = config.clients;
+  sc.replicas = config.replicas;
+  sc.max_replicas = config.replicas;
+  harness::Scenario probe(sc);  // same deterministic pid layout as the trial
+  net::FaultPlan plan;
+  plan.crash_process(msec(400), probe.client(0).process.id());
+
+  const TrialResult result = run_trial(config, plan);
+  EXPECT_FALSE(result.observation.all_clients_done);
+  int client0_done = 0;
+  for (const auto& op : result.observation.history) {
+    if (op.client == 0 && op.completed_at) ++client0_done;
+  }
+  EXPECT_LT(client0_done, config.ops_per_client);
+}
+
+// The reply-dedup bug is planted in the single-group replicator only; a
+// sharded trial cannot honour it, so it refuses the config.
+TEST(ChaosTrial, ShardedTrialRejectsInjectedDedupBug) {
+  TrialConfig config = small_trial(5);
+  config.shards = 4;
+  config.inject_dedup_bug = true;
+  EXPECT_THROW((void)run_trial(config), std::invalid_argument);
+  EXPECT_THROW((void)run_trial(config, net::FaultPlan{}), std::invalid_argument);
+}
+
+// Warm passive lost an acknowledged append: the crashed primary's last
+// checkpoint was ordered after the view that dropped it, and the promoted
+// backup installed it, rolling back c1#80 which it had already answered.
+// Campaign seed 2004, trial 91, shrunk to one action.
+TEST(ChaosTrial, DeadPrimarysLateCheckpointDoesNotRollBackAnAckedAppend) {
+  CampaignConfig campaign;
+  campaign.seed = 2004;
+  campaign.trials = 400;
+  campaign.shard_counts = {1, 4};
+  campaign.base.health = true;
+  const TrialConfig config = campaign_trial_config(campaign, 91);
+  ASSERT_EQ(config.style, replication::ReplicationStyle::kWarmPassive);
+  net::FaultPlan plan;
+  plan.crash_process(usec(1451011) + nsec(416), ProcessId{1000});
+
+  const TrialResult result = run_trial(config, plan);
+  EXPECT_TRUE(result.pass()) << result.verdict.to_string();
 }
 
 TEST(ChaosTrial, CampaignSweepCoversTheDesignSpace) {

@@ -144,6 +144,31 @@ TEST(Scenario, KnobControllerInterfaceRoundTrips) {
   EXPECT_EQ(scenario.group().style(), replication::ReplicationStyle::kActive);
 }
 
+// Fault targets resolve when the action fires: a replica grown after the
+// plan was armed dies with its host.
+TEST(Scenario, CrashNodeKillsReplicaGrownAfterArming) {
+  ScenarioConfig config;
+  config.clients = 1;
+  config.replicas = 2;
+  config.max_replicas = 3;
+  config.style = replication::ReplicationStyle::kWarmPassive;
+  Scenario scenario(config);
+  const NodeId spare = scenario.server_hosts()[2];
+  scenario.fault_plan().crash_node(msec(600), spare);
+  scenario.arm_faults();
+
+  scenario.kernel().run_until(msec(100));
+  scenario.group().set_replica_count(3);  // grows onto the spare host
+  scenario.kernel().run_until(msec(500));
+  ASSERT_EQ(scenario.replica_host(2), spare);
+  ASSERT_TRUE(scenario.replica_process(2).alive());
+
+  scenario.kernel().run_until(msec(700));
+  EXPECT_FALSE(scenario.replica_process(2).alive());
+  EXPECT_FALSE(scenario.daemon_on(spare).alive());
+  EXPECT_TRUE(scenario.replica_process(0).alive());
+}
+
 TEST(Scenario, OpenLoopSuppressionUnderOverload) {
   // Offered far beyond capacity: the client caps in-flight work and sheds
   // the excess instead of melting down.

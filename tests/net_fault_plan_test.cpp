@@ -2,6 +2,9 @@
 // actions, clamping, and the wire round-trip the chaos shrinker relies on.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "net/fault_plan.hpp"
 #include "net/network.hpp"
 #include "sim/actor.hpp"
@@ -22,7 +25,7 @@ TEST(FaultPlanEdge, OverlappingPartitionWindowsStayCutUntilBothLift) {
   FaultPlan plan;
   plan.partition_window(msec(10), msec(40), {rig.a}, {rig.b, rig.c});
   plan.partition_window(msec(20), msec(60), {rig.b}, {rig.a, rig.c});
-  plan.arm(rig.kernel, rig.network, {});
+  plan.arm(rig.kernel, rig.network);
 
   rig.kernel.run_until(msec(15));
   EXPECT_TRUE(rig.network.partitioned(rig.a, rig.b));
@@ -47,7 +50,7 @@ TEST(FaultPlanEdge, OverlappingLossWindowsTakeTheWorstProbability) {
   FaultPlan plan;
   plan.loss_burst(msec(10), msec(50), rig.a, rig.b, 0.3);
   plan.loss_burst(msec(20), msec(30), rig.a, rig.b, 0.9);
-  plan.arm(rig.kernel, rig.network, {});
+  plan.arm(rig.kernel, rig.network);
 
   rig.kernel.run_until(msec(15));
   EXPECT_DOUBLE_EQ(rig.network.link_params(rig.a, rig.b).loss_probability, 0.3);
@@ -64,7 +67,7 @@ TEST(FaultPlanEdge, RestartOfNeverCrashedProcessIsANoop) {
   sim::Process p(rig.kernel, ProcessId{7}, rig.a, "p");
   FaultPlan plan;
   plan.restart_process(msec(10), p.id());
-  plan.arm(rig.kernel, rig.network, {&p});
+  plan.arm(rig.kernel, rig.network);
 
   const auto before = p.incarnation();
   rig.kernel.run_until(msec(20));
@@ -72,12 +75,61 @@ TEST(FaultPlanEdge, RestartOfNeverCrashedProcessIsANoop) {
   EXPECT_EQ(p.incarnation(), before);
 }
 
+// Targets resolve in the kernel's process table when each action fires.
+TEST(FaultPlanEdge, ProcessBuiltAfterArmingIsCrashed) {
+  Rig rig;
+  FaultPlan plan;
+  plan.crash_process(msec(10), ProcessId{7});
+  plan.crash_node(msec(20), rig.b);
+  plan.arm(rig.kernel, rig.network);
+
+  sim::Process p(rig.kernel, ProcessId{7}, rig.a, "p");
+  sim::Process q(rig.kernel, ProcessId{8}, rig.b, "q");
+  rig.kernel.run_until(msec(15));
+  EXPECT_FALSE(p.alive());
+  EXPECT_TRUE(q.alive());
+  rig.kernel.run_until(msec(25));
+  EXPECT_FALSE(q.alive());
+}
+
+TEST(FaultPlanEdge, ProcessDestroyedBeforeItsActionIsSkipped) {
+  Rig rig;
+  auto gone = std::make_unique<sim::Process>(rig.kernel, ProcessId{7}, rig.a, "gone");
+  sim::Process stays(rig.kernel, ProcessId{8}, rig.a, "stays");
+  FaultPlan plan;
+  plan.crash_process(msec(10), ProcessId{7});
+  plan.restart_process(msec(15), ProcessId{7});
+  plan.crash_node(msec(20), rig.a);
+  plan.arm(rig.kernel, rig.network);
+
+  rig.kernel.run_until(msec(5));
+  gone.reset();
+  rig.kernel.run_until(msec(25));
+  EXPECT_FALSE(stays.alive());
+  EXPECT_EQ(rig.kernel.find_process(ProcessId{7}), nullptr);
+}
+
+TEST(FaultPlanEdge, NodeCrashTakesResidentsInConstructionOrder) {
+  Rig rig;
+  std::vector<std::uint64_t> order;
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  for (std::uint64_t pid : {30, 10, 20}) {
+    procs.push_back(std::make_unique<sim::Process>(rig.kernel, ProcessId{pid}, rig.a, "p"));
+    procs.back()->subscribe_crash([&order](ProcessId id) { order.push_back(id.value()); });
+  }
+  FaultPlan plan;
+  plan.crash_node(msec(10), rig.a);
+  plan.arm(rig.kernel, rig.network);
+  rig.kernel.run_until(msec(20));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{30, 10, 20}));
+}
+
 TEST(FaultPlanEdge, LossProbabilityIsClampedToUnitInterval) {
   Rig rig;
   FaultPlan plan;
   plan.loss_burst(msec(10), msec(30), rig.a, rig.b, 1.7);
   plan.loss_burst(msec(10), msec(30), rig.a, rig.c, -0.4);
-  plan.arm(rig.kernel, rig.network, {});
+  plan.arm(rig.kernel, rig.network);
 
   rig.kernel.run_until(msec(20));
   EXPECT_DOUBLE_EQ(rig.network.link_params(rig.a, rig.b).loss_probability, 1.0);

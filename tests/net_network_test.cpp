@@ -201,7 +201,7 @@ TEST(FaultPlan, CrashAndRestartProcesses) {
   FaultPlan plan;
   plan.crash_process(msec(10), p.id());
   plan.restart_process(msec(20), p.id());
-  plan.arm(kernel, network, {&p});
+  plan.arm(kernel, network);
 
   kernel.run_until(msec(15));
   EXPECT_FALSE(p.alive());
@@ -220,7 +220,7 @@ TEST(FaultPlan, NodeCrashKillsResidentProcesses) {
   FaultPlan plan;
   plan.crash_node(msec(10), h0);
   plan.restore_node(msec(30), h0);
-  plan.arm(kernel, network, {&p0, &p1});
+  plan.arm(kernel, network);
 
   kernel.run_until(msec(20));
   EXPECT_FALSE(p0.alive());
@@ -236,7 +236,7 @@ TEST(FaultPlan, SlowHostWindowIsPerformanceFault) {
   const NodeId h = network.add_host("h");
   FaultPlan plan;
   plan.slow_host(msec(10), msec(20), h, 4.0);
-  plan.arm(kernel, network, {});
+  plan.arm(kernel, network);
   kernel.run_until(msec(15));
   EXPECT_DOUBLE_EQ(network.cpu(h).slowdown(), 4.0);
   kernel.run_until(msec(25));
@@ -250,7 +250,7 @@ TEST(FaultPlan, LossBurstWindowRestoresCleanLink) {
   const NodeId b = network.add_host("b");
   FaultPlan plan;
   plan.loss_burst(msec(10), msec(20), a, b, 0.7);
-  plan.arm(kernel, network, {});
+  plan.arm(kernel, network);
   kernel.run_until(msec(15));
   EXPECT_DOUBLE_EQ(network.link_params(a, b).loss_probability, 0.7);
   EXPECT_DOUBLE_EQ(network.link_params(b, a).loss_probability, 0.7);

@@ -2,7 +2,7 @@
 //
 // The trial fleet's contract is that workers is a pure throughput knob: for
 // the same campaign seed, the summary JSON, the on_trial callback sequence,
-// the per-trial trace digests, and the health event streams are all
+// the per-trial flight recordings, and the health event streams are all
 // byte-identical whether the trials ran on 1, 2, or 8 workers. These tests
 // pin that contract property-style; the wide variant in
 // parallel_campaign_chaos_test.cpp repeats it at the full 200-trial
@@ -15,25 +15,33 @@
 
 #include "chaos/campaign.hpp"
 #include "monitor/health/events.hpp"
+#include "util/bytes.hpp"
 
 namespace vdep::chaos {
 namespace {
 
 // Everything a campaign run exposes, flattened to one comparable string:
 // the summary JSON plus, per trial (in index order), the sweep position,
-// verdict, trace digest and rendered health event stream.
+// verdict, flight-recording digest and rendered health event stream. Spans
+// are recorded on every trial, so the digest is never that of an empty
+// recording.
 std::string campaign_witness(CampaignConfig config, int workers) {
   config.workers = workers;
+  config.base.record_spans = true;
   std::string witness;
   const CampaignResult result = run_campaign(
       config, [&witness](int index, const TrialConfig& trial, const TrialResult& r) {
+        EXPECT_FALSE(r.flight_recording.empty()) << "trial " << index;
+        const auto& rec = r.flight_recording;
         witness += "trial " + std::to_string(index) + " " +
                    replication::style_code(trial.style) +
                    " r" + std::to_string(trial.replicas) +
                    " cp" + std::to_string(trial.checkpoint_every_requests) +
                    " seed" + std::to_string(trial.seed) +
                    (r.pass() ? " PASS" : " FAIL") +
-                   " digest=" + std::to_string(r.trace_digest) +
+                   " digest=" +
+                   std::to_string(fnv1a({reinterpret_cast<const std::uint8_t*>(rec.data()),
+                                         rec.size()})) +
                    " ops=" + std::to_string(r.completed_ops) + "\n";
         if (r.health_observation.enabled) {
           witness += "health_events=" +
@@ -51,7 +59,6 @@ TEST(ParallelCampaign, ByteIdenticalAcrossWorkerCounts) {
   config.trials = 24;
   config.base.clients = 2;
   config.base.ops_per_client = 40;
-  config.base.record_trace = true;
 
   const std::string serial = campaign_witness(config, 1);
   ASSERT_FALSE(serial.empty());

@@ -186,5 +186,40 @@ TEST(ShardClusterTest, CrashNodeKillsThatHostsDaemon) {
   EXPECT_TRUE(cluster.daemon_on(cluster.server_hosts().front()).alive());
 }
 
+// A split target provisioned after the plan was armed is still on its host
+// when an explicit crash_node strikes it.
+TEST(ShardClusterTest, CrashNodeKillsSplitTargetProvisionedAfterArming) {
+  const ShardedClusterConfig cc = small_cluster(4);
+  const GroupId target{10 + static_cast<std::uint64_t>(cc.shards)};  // first provisioned id
+  auto split_at = [](ShardedCluster& cluster, SimTime at) {
+    cluster.kernel().post_at(at, [&cluster] {
+      const ShardEntry& e = cluster.initial_map().entries().front();
+      cluster.split_shard(e.shard, e.range.lo + e.range.width() / 2,
+                          cluster.config().default_policy);
+    });
+  };
+
+  // Where the target lands (placement is deterministic).
+  NodeId host;
+  {
+    ShardedCluster probe(cc);
+    split_at(probe, msec(300));
+    probe.kernel().run_until(msec(350));
+    host = probe.replica_process(target, 0).host();
+  }
+
+  ShardedCluster cluster(cc);
+  cluster.fault_plan().crash_node(msec(500), host);
+  cluster.arm_faults();
+  split_at(cluster, msec(300));
+  cluster.kernel().run_until(msec(350));
+  ASSERT_EQ(cluster.replica_process(target, 0).host(), host);
+  ASSERT_TRUE(cluster.replica_process(target, 0).alive());
+
+  cluster.kernel().run_until(msec(600));
+  EXPECT_FALSE(cluster.replica_process(target, 0).alive());
+  EXPECT_FALSE(cluster.daemon_on(host).alive());
+}
+
 }  // namespace
 }  // namespace vdep::shard

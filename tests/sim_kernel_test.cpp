@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sim/actor.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
@@ -148,6 +151,32 @@ TEST(Process, CrashListenersFireOnce) {
   EXPECT_EQ(notified, 1);
 }
 
+TEST(Process, KernelTableTracksLiveObjectsInConstructionOrder) {
+  Kernel k(1);
+  auto table = [&k] { return std::vector<Process*>(k.processes().begin(), k.processes().end()); };
+  Process a(k, ProcessId{5}, NodeId{1}, "a");
+  auto b = std::make_unique<Process>(k, ProcessId{3}, NodeId{1}, "b");
+  Process c(k, ProcessId{4}, NodeId{2}, "c");
+  EXPECT_EQ(k.find_process(ProcessId{3}), b.get());
+  EXPECT_EQ(table(), (std::vector<Process*>{&a, b.get(), &c}));
+
+  c.crash();  // crashed processes stay in the table
+  EXPECT_EQ(k.find_process(ProcessId{4}), &c);
+  b.reset();
+  EXPECT_EQ(k.find_process(ProcessId{3}), nullptr);
+  EXPECT_EQ(table(), (std::vector<Process*>{&a, &c}));
+
+  // A pid freed by its destroyed process may be taken again; it goes last.
+  Process again(k, ProcessId{3}, NodeId{1}, "again");
+  EXPECT_EQ(table(), (std::vector<Process*>{&a, &c, &again}));
+}
+
+TEST(ProcessDeathTest, PidRegisteredTwiceOnOneKernelAborts) {
+  Kernel k(1);
+  Process a(k, ProcessId{5}, NodeId{1}, "a");
+  EXPECT_DEATH(Process(k, ProcessId{5}, NodeId{2}, "dup"), "pid registered twice");
+}
+
 TEST(TimeSeries, ResampleCarriesLastValueForward) {
   TimeSeries ts("x");
   ts.record(msec(10), 1.0);
@@ -159,16 +188,6 @@ TEST(TimeSeries, ResampleCarriesLastValueForward) {
   EXPECT_DOUBLE_EQ(points[2].value, 1.0);  // 20ms: still 1.0
   EXPECT_DOUBLE_EQ(points[3].value, 2.0);
   EXPECT_DOUBLE_EQ(points[4].value, 2.0);
-}
-
-TEST(TraceRecorder, DisabledByDefault) {
-  TraceRecorder t;
-  t.add(usec(1), "a", "b");
-  EXPECT_TRUE(t.entries().empty());
-  t.enable();
-  t.add(usec(2), "c", "d");
-  ASSERT_EQ(t.entries().size(), 1u);
-  EXPECT_EQ(t.render(), "2000 c d\n");
 }
 
 }  // namespace
