@@ -5,7 +5,36 @@
 
 namespace vdep::app {
 
-KvStoreServant::KvStoreServant(Config config) : config_(config) {}
+namespace {
+// Snapshot bytes of one entry beyond its key and value: two u32 length
+// prefixes. The store's own u32 entry count is the initial state_size().
+constexpr std::size_t kEntryOverhead = 8;
+constexpr std::size_t kEmptyStateBytes = 4;
+}  // namespace
+
+KvStoreServant::KvStoreServant(Config config)
+    : config_(config), state_bytes_(kEmptyStateBytes) {}
+
+bool KvStoreServant::assign(const std::string& key, std::string_view value) {
+  auto [it, inserted] = data_.try_emplace(key);
+  if (inserted) state_bytes_ += kEntryOverhead + key.size();
+  state_bytes_ = state_bytes_ - it->second.size() + value.size();
+  it->second.assign(value);
+  return !inserted;
+}
+
+bool KvStoreServant::remove(const std::string& key) {
+  const auto it = data_.find(key);
+  if (it == data_.end()) return false;
+  erase_at(it);
+  return true;
+}
+
+std::map<std::string, std::string>::iterator KvStoreServant::erase_at(
+    std::map<std::string, std::string>::iterator it) {
+  state_bytes_ -= kEntryOverhead + it->first.size() + it->second.size();
+  return data_.erase(it);
+}
 
 orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
                                             const Bytes& args) {
@@ -16,8 +45,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       const std::string key = r.string();
       const std::string value = r.string();
       result.cpu_time = config_.write_time;
-      const bool existed = data_.contains(key);
-      data_[key] = value;
+      const bool existed = assign(key, value);
       mark_written(key);
       orb::CdrWriter w;
       w.boolean(existed);
@@ -28,8 +56,11 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       const std::string key = r.string();
       const std::string value = r.string();
       result.cpu_time = config_.write_time;
-      std::string& cell = data_[key];
+      auto [it, inserted] = data_.try_emplace(key);
+      if (inserted) state_bytes_ += kEntryOverhead + key.size();
+      std::string& cell = it->second;
       cell += value;
+      state_bytes_ += value.size();
       mark_written(key);
       orb::CdrWriter w;
       w.ulong(static_cast<std::uint32_t>(cell.size()));
@@ -50,7 +81,7 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
       const std::string key = r.string();
       result.cpu_time = config_.write_time;
       orb::CdrWriter w;
-      const bool existed = data_.erase(key) > 0;
+      const bool existed = remove(key);
       if (existed) mark_erased(key);
       w.boolean(existed);
       result.output = std::move(w).take();
@@ -71,13 +102,17 @@ orb::Servant::Result KvStoreServant::invoke(const std::string& operation,
 }
 
 Bytes KvStoreServant::snapshot() const {
-  ByteWriter w;
+  ByteWriter w(state_bytes_);
+  write_snapshot(w);
+  return std::move(w).take();
+}
+
+void KvStoreServant::write_snapshot(ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(data_.size()));
   for (const auto& [key, value] : data_) {
     w.str(key);
     w.str(value);
   }
-  return std::move(w).take();
 }
 
 void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
@@ -94,15 +129,17 @@ void KvStoreServant::restore(std::span<const std::uint8_t> snapshot) {
     const std::string_view value = r.str_view();
     if (i > 0 && key <= prev) throw r.error("snapshot keys not ascending");
     prev = key;
-    while (it != data_.end() && it->first < key) it = data_.erase(it);
+    while (it != data_.end() && it->first < key) it = erase_at(it);
     if (it != data_.end() && it->first == key) {
+      state_bytes_ = state_bytes_ - it->second.size() + value.size();
       it->second.assign(value);
       ++it;
     } else {
       it = std::next(data_.emplace_hint(it, key, value));
+      state_bytes_ += kEntryOverhead + key.size() + value.size();
     }
   }
-  data_.erase(it, data_.end());
+  while (it != data_.end()) it = erase_at(it);
   // The per-key stamps described the overwritten state; deltas can only be
   // answered for cuts taken from here on. Epochs stay monotone across
   // restores so stale `since` values are rejected, never misanswered.
@@ -155,23 +192,16 @@ void KvStoreServant::apply_delta(std::span<const std::uint8_t> delta) {
   ByteReader r(delta);
   const auto upserts = r.u32();
   for (std::uint32_t i = 0; i < upserts; ++i) {
-    std::string key = r.str();
-    std::string value = r.str();
-    data_[key] = std::move(value);
+    const std::string key = r.str();
+    assign(key, r.str_view());
     mark_written(key);
   }
   const auto erased = r.u32();
   for (std::uint32_t i = 0; i < erased; ++i) {
     const std::string key = r.str();
-    data_.erase(key);
+    remove(key);
     mark_erased(key);
   }
-}
-
-std::size_t KvStoreServant::state_size() const {
-  std::size_t total = 4;
-  for (const auto& [key, value] : data_) total += key.size() + value.size() + 8;
-  return total;
 }
 
 std::uint64_t KvStoreServant::state_digest() const {

@@ -19,8 +19,10 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "replication/app_state.hpp"
+#include "util/bytes.hpp"
 #include "util/calibration.hpp"
 
 namespace vdep::app {
@@ -39,8 +41,11 @@ class KvStoreServant final : public replication::Checkpointable {
   Result invoke(const std::string& operation, const Bytes& args) override;
 
   [[nodiscard]] Bytes snapshot() const override;
+  // Appends the snapshot encoding (exactly state_size() bytes) to `w`.
+  void write_snapshot(ByteWriter& w) const;
   void restore(std::span<const std::uint8_t> snapshot) override;
-  [[nodiscard]] std::size_t state_size() const override;
+  // The snapshot's encoded size, kept current by every mutation: O(1).
+  [[nodiscard]] std::size_t state_size() const override { return state_bytes_; }
   [[nodiscard]] std::uint64_t state_digest() const override;
 
   // Incremental checkpointing: every mutation stamps its key with the open
@@ -76,11 +81,19 @@ class KvStoreServant final : public replication::Checkpointable {
   static bool decode_flag(const Bytes& body);  // put/erase result
 
  private:
+  // Mutators of data_ that keep state_bytes_ in step (restore() and
+  // "append" adjust it inline). assign() returns whether the key existed,
+  // remove() whether there was one to erase.
+  bool assign(const std::string& key, std::string_view value);
+  bool remove(const std::string& key);
+  std::map<std::string, std::string>::iterator erase_at(
+      std::map<std::string, std::string>::iterator it);
   void mark_written(const std::string& key);
   void mark_erased(const std::string& key);
 
   Config config_;
   std::map<std::string, std::string> data_;
+  std::size_t state_bytes_;  // == snapshot().size()
 
   // Dirty-key tracking. `epoch_` is the open (still-mutating) epoch;
   // cut_epoch() closes it. `delta_floor_` is the oldest cut a delta can

@@ -35,13 +35,13 @@ Daemon::Daemon(sim::Kernel& kernel, net::Network& network, ProcessId pid, NodeId
   for (NodeId d : all_daemons_) {
     if (d != host) peers.push_back(d);
   }
+  // A heartbeat carries only the sender's host id, so its frame is built
+  // once and the same buffer goes to every peer on every tick.
+  ByteWriter hb(8);
+  hb.u64(host.value());
+  heartbeat_ = ReliableLink::raw_frame(hb.data());
   fd_ = std::make_unique<FailureDetector>(
-      *this, peers,
-      [this](NodeId peer) {
-        ByteWriter w;
-        w.u64(this->host().value());
-        link_->send_raw(peer, std::move(w).take());
-      },
+      *this, peers, [this](NodeId peer) { link_->send_raw(peer, heartbeat_); },
       params_.heartbeat_interval, params_.heartbeat_misses);
   fd_->set_on_suspect([this](NodeId d) { on_suspect(d); });
 

@@ -143,6 +143,7 @@ class Daemon : public sim::Process {
   std::vector<NodeId> all_daemons_;
   HealthObserver* health_ = nullptr;
   std::unique_ptr<ReliableLink> link_;
+  Payload heartbeat_;  // the raw heartbeat frame, shared by every send
   std::unique_ptr<FailureDetector> fd_;
 
   NodeId leader_;

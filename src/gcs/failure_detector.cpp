@@ -1,5 +1,7 @@
 #include "gcs/failure_detector.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace vdep::gcs {
@@ -11,19 +13,33 @@ FailureDetector::FailureDetector(sim::Process& owner, std::vector<NodeId> peers,
       send_heartbeat_(std::move(send_heartbeat)),
       interval_(interval),
       miss_limit_(miss_limit) {
-  for (NodeId p : peers) peers_[p] = PeerState{};
+  std::sort(peers.begin(), peers.end());
+  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
+  peers_.reserve(peers.size());
+  for (NodeId p : peers) peers_.push_back(PeerState{p});
+}
+
+FailureDetector::PeerState* FailureDetector::find(NodeId peer) {
+  auto it = std::lower_bound(peers_.begin(), peers_.end(), peer,
+                             [](const PeerState& st, NodeId p) { return st.peer < p; });
+  return it != peers_.end() && it->peer == peer ? &*it : nullptr;
+}
+
+const FailureDetector::PeerState* FailureDetector::find(NodeId peer) const {
+  return const_cast<FailureDetector*>(this)->find(peer);
 }
 
 void FailureDetector::start() {
   // Treat start time as a fresh heartbeat from everyone so nobody is
   // suspected before a full timeout elapses.
-  for (auto& [peer, st] : peers_) st.last_heard = owner_.now();
+  for (auto& st : peers_) st.last_heard = owner_.now();
   tick();
 }
 
 void FailureDetector::tick() {
-  for (auto& [peer, st] : peers_) {
+  for (auto& st : peers_) {
     if (st.suspected) continue;
+    const NodeId peer = st.peer;
     send_heartbeat_(peer);
     const SimTime deadline = st.last_heard + interval_ * miss_limit_;
     if (owner_.now() > deadline) {
@@ -37,29 +53,28 @@ void FailureDetector::tick() {
 }
 
 void FailureDetector::heartbeat_received(NodeId from) {
-  auto it = peers_.find(from);
-  if (it == peers_.end()) return;
+  PeerState* st = find(from);
+  if (st == nullptr) return;
   // Suspicion is sticky: a suspected daemon stays out (crash-stop model).
-  if (!it->second.suspected) it->second.last_heard = owner_.now();
+  if (!st->suspected) st->last_heard = owner_.now();
 }
 
 void FailureDetector::mark_dead(NodeId peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.suspected) return;
-  it->second.suspected = true;
+  PeerState* st = find(peer);
+  if (st == nullptr || st->suspected) return;
+  st->suspected = true;
   if (on_suspect_) on_suspect_(peer);
 }
 
 bool FailureDetector::alive(NodeId peer) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return false;
-  return !it->second.suspected;
+  const PeerState* st = find(peer);
+  return st != nullptr && !st->suspected;
 }
 
 std::vector<NodeId> FailureDetector::live_peers() const {
   std::vector<NodeId> out;
-  for (const auto& [peer, st] : peers_) {
-    if (!st.suspected) out.push_back(peer);
+  for (const auto& st : peers_) {
+    if (!st.suspected) out.push_back(st.peer);
   }
   return out;
 }

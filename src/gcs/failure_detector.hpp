@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "sim/actor.hpp"
@@ -53,10 +52,14 @@ class FailureDetector {
   int miss_limit_;
 
   struct PeerState {
+    NodeId peer;
     SimTime last_heard = kTimeZero;
     bool suspected = false;
   };
-  std::map<NodeId, PeerState> peers_;
+  [[nodiscard]] PeerState* find(NodeId peer);
+  [[nodiscard]] const PeerState* find(NodeId peer) const;
+
+  std::vector<PeerState> peers_;  // sorted by peer, unique
 };
 
 }  // namespace vdep::gcs

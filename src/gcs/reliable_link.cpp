@@ -12,13 +12,13 @@ constexpr SimTime kRetransmitTimeout = msec(15);
 
 enum class FrameType : std::uint8_t { kData = 1, kAck = 2, kRaw = 3 };
 
+constexpr std::size_t kFrameHeader = 1 + 8 + 4;
+
 // Same wire layout ByteWriter would produce (u8 type, u64 seq, u32-length-
-// prefixed inner), written into a pooled buffer instead of a fresh one.
-Payload encode_frame(BufferPool& pool, FrameType type, std::uint64_t seq,
-                     std::span<const std::uint8_t> inner) {
-  constexpr std::size_t kHeader = 1 + 8 + 4;
-  auto buf = pool.acquire(kHeader + inner.size());
-  std::uint8_t* p = buf->data();
+// prefixed inner), written into `out`, which holds kFrameHeader + inner.size().
+void write_frame(std::uint8_t* out, FrameType type, std::uint64_t seq,
+                 std::span<const std::uint8_t> inner) {
+  std::uint8_t* p = out;
   *p++ = static_cast<std::uint8_t>(type);
   for (std::size_t i = 0; i < 8; ++i) {
     *p++ = static_cast<std::uint8_t>(seq >> (8 * i));
@@ -28,6 +28,13 @@ Payload encode_frame(BufferPool& pool, FrameType type, std::uint64_t seq,
     *p++ = static_cast<std::uint8_t>(len >> (8 * i));
   }
   if (!inner.empty()) std::memcpy(p, inner.data(), inner.size());
+}
+
+// A frame in a pooled buffer instead of a fresh one.
+Payload encode_frame(BufferPool& pool, FrameType type, std::uint64_t seq,
+                     std::span<const std::uint8_t> inner) {
+  auto buf = pool.acquire(kFrameHeader + inner.size());
+  write_frame(buf->data(), type, seq, inner);
   return Payload(buf, std::span<const std::uint8_t>(buf->data(), buf->size()));
 }
 
@@ -65,10 +72,16 @@ void ReliableLink::send(NodeId to, Payload inner, std::size_t payload_bytes) {
   arm_retransmit(to);
 }
 
-void ReliableLink::send_raw(NodeId to, Bytes inner) {
-  Payload frame = encode_frame(frame_pool_, FrameType::kRaw, 0, inner);
-  const std::size_t wire = frame.size();
-  transmit(to, std::move(frame), wire, /*counted=*/false);
+Payload ReliableLink::raw_frame(std::span<const std::uint8_t> inner) {
+  // A buffer of its own, not a pooled one: the caller keeps the frame.
+  Bytes buf(kFrameHeader + inner.size());
+  write_frame(buf.data(), FrameType::kRaw, 0, inner);
+  return Payload(std::move(buf));
+}
+
+void ReliableLink::send_raw(NodeId to, const Payload& frame) {
+  VDEP_ASSERT(!frame.empty() && frame[0] == static_cast<std::uint8_t>(FrameType::kRaw));
+  transmit(to, frame, frame.size(), /*counted=*/false);
 }
 
 void ReliableLink::send_ack(NodeId to, std::uint64_t cumulative) {

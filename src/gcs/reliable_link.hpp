@@ -37,8 +37,13 @@ class ReliableLink {
   // retransmit queue and the in-flight packet.
   void send(NodeId to, Payload inner, std::size_t payload_bytes);
 
-  // Fire-and-forget, uncounted (heartbeats).
-  void send_raw(NodeId to, Bytes inner);
+  // Frames `inner` as a raw (unreliable, uncounted) frame. The frame does
+  // not depend on the link or the peer, so a sender that repeats the same
+  // bytes (heartbeats) builds it once and shares it across every send_raw.
+  [[nodiscard]] static Payload raw_frame(std::span<const std::uint8_t> inner);
+
+  // Fire-and-forget, uncounted: transmits a frame built by raw_frame().
+  void send_raw(NodeId to, const Payload& frame);
 
   // Entry point for packets arriving on Port::kGcsDaemon.
   void handle_packet(net::Packet&& packet);

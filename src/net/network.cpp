@@ -19,7 +19,10 @@ Network::Network(sim::Kernel& kernel, LinkParams defaults)
 
 NodeId Network::add_host(const std::string& name) {
   const NodeId id{hosts_.size()};
-  hosts_.push_back(HostRec{name, sim::Cpu(kernel_, id), true, {}, {}});
+  // Grow the link table by one column; existing queue heads carry over.
+  for (auto& h : hosts_) h.link_free.push_back(kTimeZero);
+  hosts_.push_back(HostRec{name, sim::Cpu(kernel_, id), true, {}, {},
+                           std::vector<SimTime>(hosts_.size() + 1, kTimeZero)});
   return id;
 }
 
@@ -38,12 +41,18 @@ const std::string& Network::host_name(NodeId id) const { return host_rec(id).nam
 sim::Cpu& Network::cpu(NodeId id) { return host_rec(id).cpu; }
 
 void Network::bind(NodeId host, Port port, PacketHandler handler) {
-  auto& rec = host_rec(host);
-  VDEP_ASSERT_MSG(!rec.handlers.contains(port), "port already bound");
-  rec.handlers[port] = std::move(handler);
+  const auto slot = static_cast<std::size_t>(port);
+  VDEP_ASSERT(slot < kPortSlots);
+  auto& bound = host_rec(host).handlers[slot];
+  VDEP_ASSERT_MSG(!bound, "port already bound");
+  bound = std::move(handler);
 }
 
-void Network::unbind(NodeId host, Port port) { host_rec(host).handlers.erase(port); }
+void Network::unbind(NodeId host, Port port) {
+  const auto slot = static_cast<std::size_t>(port);
+  VDEP_ASSERT(slot < kPortSlots);
+  host_rec(host).handlers[slot] = nullptr;
+}
 
 void Network::set_host_up(NodeId id, bool up) { host_rec(id).up = up; }
 
@@ -54,6 +63,7 @@ void Network::set_link_params(NodeId from, NodeId to, LinkParams params) {
 }
 
 const LinkParams& Network::link_params(NodeId from, NodeId to) const {
+  if (link_overrides_.empty()) return defaults_;
   auto it = link_overrides_.find({from, to});
   return it != link_overrides_.end() ? it->second : defaults_;
 }
@@ -70,7 +80,7 @@ void Network::partition(const std::set<NodeId>& side_a, const std::set<NodeId>& 
 void Network::heal_partitions() { cut_pairs_.clear(); }
 
 bool Network::partitioned(NodeId a, NodeId b) const {
-  return cut_pairs_.contains({a, b});
+  return !cut_pairs_.empty() && cut_pairs_.contains({a, b});
 }
 
 const TrafficTotals& Network::host_sent(NodeId id) const { return host_rec(id).sent; }
@@ -110,16 +120,16 @@ void Network::send(Packet packet) {
   }
 
   // Serialization queue at the sender's link.
-  auto& state = link_states_[{packet.src, packet.dst}];
+  SimTime& next_free = src.link_free[packet.dst.value()];
   const SimTime serialize = sec_f(static_cast<double>(packet.wire_bytes) /
                                   link.bandwidth_bytes_per_sec);
-  const SimTime start = std::max(kernel_.now(), state.next_free);
-  state.next_free = start + serialize;
+  const SimTime start = std::max(kernel_.now(), next_free);
+  next_free = start + serialize;
 
   const double jitter_ns =
       std::max(0.0, rng_.normal(0.0, static_cast<double>(link.jitter_stddev.count())));
   const SimTime arrival =
-      state.next_free + link.propagation + SimTime{static_cast<std::int64_t>(jitter_ns)} +
+      next_free + link.propagation + SimTime{static_cast<std::int64_t>(jitter_ns)} +
       penalty;
 
   if (packet.counted) {
@@ -136,13 +146,13 @@ void Network::send(Packet packet) {
 void Network::deliver(Packet&& packet) {
   auto& dst = host_rec(packet.dst);
   if (!dst.up) return;
-  auto it = dst.handlers.find(packet.port);
-  if (it == dst.handlers.end()) {
+  const auto slot = static_cast<std::size_t>(packet.port);
+  if (slot >= kPortSlots || !dst.handlers[slot]) {
     log_debug(kernel_.now(), "net",
               "dropping packet to unbound port on " + dst.name);
     return;
   }
-  it->second(std::move(packet));
+  dst.handlers[slot](std::move(packet));
 }
 
 }  // namespace vdep::net

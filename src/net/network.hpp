@@ -6,6 +6,7 @@
 // produces the resource axis of the paper's design space (Fig. 7(b)).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -29,6 +30,8 @@ enum class Port : std::uint16_t {
   kTcp = 1,         // TCP-like channels (baseline, non-replicated path)
   kGcsDaemon = 2,   // group-communication daemon
 };
+// Size of a host's handler table, which is indexed by port value.
+inline constexpr std::size_t kPortSlots = 3;
 
 struct Packet {
   NodeId src;
@@ -113,12 +116,11 @@ class Network {
     std::string name;
     sim::Cpu cpu;
     bool up = true;
-    std::map<Port, PacketHandler> handlers;
+    std::array<PacketHandler, kPortSlots> handlers;  // indexed by port value
     TrafficTotals sent;
-  };
-
-  struct LinkState {
-    SimTime next_free = kTimeZero;  // serialization queue head
+    // Serialization queue head of this host's link to each destination,
+    // indexed by destination NodeId: one row of the dense src x dst table.
+    std::vector<SimTime> link_free;
   };
 
   HostRec& host_rec(NodeId id);
@@ -129,8 +131,8 @@ class Network {
   LinkParams defaults_;
   Rng rng_;
   std::vector<HostRec> hosts_;
+  // Both are empty on a fault-free run, and send() then skips their lookups.
   std::map<std::pair<NodeId, NodeId>, LinkParams> link_overrides_;
-  std::map<std::pair<NodeId, NodeId>, LinkState> link_states_;
   std::set<std::pair<NodeId, NodeId>> cut_pairs_;
   TrafficTotals totals_;
 };

@@ -195,7 +195,7 @@ void MigrationController::run(std::shared_ptr<Job> job) {
                          return;
                        }
                        orb::CdrReader r(body2);
-                       r.ulong();  // status, already checked
+                       static_cast<void>(r.ulong());  // status, already checked
                        job->bundle = r.octets();
                        job->rec.bytes_moved = job->bundle.size();
 

@@ -4,6 +4,7 @@
 
 #include "orb/cdr.hpp"
 #include "replication/types.hpp"
+#include "util/assert.hpp"
 
 namespace vdep::shard {
 
@@ -84,7 +85,9 @@ ShardServant::Result ShardServant::invoke(const std::string& operation,
   if (!known) return status_reply(ShardStatus::kBadRequest, config_.route_check_time);
 
   orb::CdrReader r(args);
-  r.ulonglong();  // client's cached map epoch — diagnostic; fencing is by ownership
+  // The client's cached map epoch is diagnostic only (fencing is by
+  // ownership), but it is read so the key's position is right.
+  static_cast<void>(r.ulonglong());
   const std::string key = r.string();
   const std::string value = needs_value ? r.string() : std::string{};
 
@@ -294,8 +297,13 @@ ShardServant::DataReply ShardServant::decode_data_reply(const Bytes& body) {
 // replica promoted from a delta chain mid-migration has to keep enforcing
 // the freeze.
 
-Bytes ShardServant::encode_control() const {
-  ByteWriter w;
+std::size_t ShardServant::control_size() const {
+  return 8 + 4 + 8 * owned_.size() + 1 + (frozen_ ? 8 + 4 + 4 + 8 + 8 : 0) + 4 +
+         8 * done_migrations_.size();
+}
+
+void ShardServant::write_control(ByteWriter& w) const {
+  const std::size_t start = w.size();
   w.u64(fence_epoch_);
   w.u32(static_cast<std::uint32_t>(owned_.size()));
   for (const auto& r : owned_) {
@@ -312,7 +320,7 @@ Bytes ShardServant::encode_control() const {
   }
   w.u32(static_cast<std::uint32_t>(done_migrations_.size()));
   for (std::uint64_t id : done_migrations_) w.u64(id);
-  return std::move(w).take();
+  VDEP_ASSERT(w.size() - start == control_size());
 }
 
 std::span<const std::uint8_t> ShardServant::decode_control(
@@ -344,10 +352,14 @@ std::span<const std::uint8_t> ShardServant::decode_control(
 }
 
 Bytes ShardServant::snapshot() const {
-  ByteWriter w;
-  const Bytes control = encode_control();
-  w.bytes(control);
-  w.bytes(inner_.snapshot());
+  // Two length-prefixed blobs, control then store, each written in place.
+  const std::size_t control = control_size();
+  const std::size_t inner = inner_.state_size();
+  ByteWriter w(4 + control + 4 + inner);
+  w.u32(static_cast<std::uint32_t>(control));
+  write_control(w);
+  w.u32(static_cast<std::uint32_t>(inner));
+  inner_.write_snapshot(w);
   return std::move(w).take();
 }
 
@@ -359,12 +371,14 @@ void ShardServant::restore(std::span<const std::uint8_t> snapshot) {
 }
 
 std::size_t ShardServant::state_size() const {
-  return inner_.state_size() + encode_control().size();
+  // The checkpoint cost model counts the two parts, not their prefixes.
+  return inner_.state_size() + control_size();
 }
 
 std::uint64_t ShardServant::state_digest() const {
-  const Bytes control = encode_control();
-  return fnv1a(control) ^ (inner_.state_digest() * 0x9e3779b97f4a7c15ULL);
+  ByteWriter control(control_size());
+  write_control(control);
+  return fnv1a(control.data()) ^ (inner_.state_digest() * 0x9e3779b97f4a7c15ULL);
 }
 
 std::uint64_t ShardServant::cut_epoch() { return inner_.cut_epoch(); }
@@ -372,8 +386,10 @@ std::uint64_t ShardServant::cut_epoch() { return inner_.cut_epoch(); }
 std::optional<Bytes> ShardServant::snapshot_delta(std::uint64_t since_epoch) const {
   auto inner = inner_.snapshot_delta(since_epoch);
   if (!inner) return std::nullopt;
-  ByteWriter w;
-  w.bytes(encode_control());
+  const std::size_t control = control_size();
+  ByteWriter w(4 + control + 4 + inner->size());
+  w.u32(static_cast<std::uint32_t>(control));
+  write_control(w);
   w.bytes(*inner);
   return std::move(w).take();
 }

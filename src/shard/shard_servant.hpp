@@ -119,7 +119,9 @@ class ShardServant final : public replication::Checkpointable {
   void owned_add(KeyRange range);
   void owned_remove(KeyRange range);
 
-  [[nodiscard]] Bytes encode_control() const;
+  // The control state's encoding and its size, computed without encoding.
+  [[nodiscard]] std::size_t control_size() const;
+  void write_control(ByteWriter& w) const;
   // Returns the remaining (inner) portion of the buffer.
   std::span<const std::uint8_t> decode_control(std::span<const std::uint8_t> raw);
 

@@ -30,7 +30,11 @@ class DecodeError : public std::runtime_error {
 // strings to a growable buffer.
 class ByteWriter {
  public:
-  ByteWriter() = default;
+  // Most frames are a few dozen bytes: one allocation of this size holds
+  // them, where growing from empty reallocates at 1, 2, 4, ... bytes.
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  ByteWriter() : ByteWriter(kInitialCapacity) {}
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -59,10 +63,14 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  // One size check per integer, not one per byte.
   template <typename T>
   void raw_int(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::uint8_t* p = buf_.data() + at;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 

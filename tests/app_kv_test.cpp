@@ -5,6 +5,7 @@
 
 #include "app/kv_store.hpp"
 #include "harness/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace vdep::app {
 namespace {
@@ -205,6 +206,70 @@ TEST(KvStore, StateSizeTracksContent) {
   const auto empty = kv.state_size();
   (void)kv.invoke("put", KvStoreServant::encode_put("key", std::string(100, 'v')));
   EXPECT_GT(kv.state_size(), empty + 100);
+}
+
+// state_size() is a counter that every mutation keeps current; after each
+// step of a seeded mix of operations it must equal the snapshot's size. A
+// second store supplies the restore images and the deltas.
+TEST(KvStore, StateSizeCounterMatchesSnapshotThroughSeededMix) {
+  Rng rng(17);
+  KvStoreServant kv;
+  KvStoreServant donor;
+  std::uint64_t donor_cut = donor.cut_epoch();
+  auto pick_key = [&rng] { return "k" + std::to_string(rng.below(40)); };
+  auto pick_value = [&rng] {
+    return std::string(rng.below(24), static_cast<char>('a' + rng.below(26)));
+  };
+  int put_new = 0, put_shorter = 0, put_longer = 0, appends = 0, erase_hit = 0,
+      erase_miss = 0, restores = 0, bad_restores = 0, deltas = 0;
+  for (int step = 0; step < 1000; ++step) {
+    // The donor drifts too, so images and deltas differ from the store.
+    const std::string donor_key = pick_key();
+    if (rng.chance(0.2)) {
+      (void)donor.invoke("erase", KvStoreServant::encode_key(donor_key));
+    } else {
+      (void)donor.invoke("put", KvStoreServant::encode_put(donor_key, pick_value()));
+    }
+
+    const std::uint64_t op = rng.below(100);
+    const std::string key = pick_key();
+    const auto before = kv.lookup(key);
+    if (op < 40) {
+      const std::string value = pick_value();
+      ASSERT_TRUE(kv.invoke("put", KvStoreServant::encode_put(key, value)).ok);
+      if (!before) {
+        ++put_new;
+      } else if (value.size() < before->size()) {
+        ++put_shorter;
+      } else if (value.size() > before->size()) {
+        ++put_longer;
+      }
+    } else if (op < 60) {
+      ASSERT_TRUE(kv.invoke("append", KvStoreServant::encode_append(key, pick_value())).ok);
+      ++appends;
+    } else if (op < 85) {
+      ASSERT_TRUE(kv.invoke("erase", KvStoreServant::encode_key(key)).ok);
+      ++(before ? erase_hit : erase_miss);
+    } else if (op < 91) {
+      kv.restore(donor.snapshot());
+      ++restores;
+    } else if (op < 93) {
+      // Fails part-way, after it has already merged the first entry.
+      EXPECT_THROW(kv.restore(snapshot_of({{"k5", "x"}, {"k1", "y"}})), DecodeError);
+      ++bad_restores;
+    } else {
+      const auto delta = donor.snapshot_delta(donor_cut);
+      ASSERT_TRUE(delta.has_value());
+      donor_cut = donor.cut_epoch();
+      kv.apply_delta(*delta);
+      ++deltas;
+    }
+    ASSERT_EQ(kv.state_size(), kv.snapshot().size()) << "step " << step;
+  }
+  for (int n : {put_new, put_shorter, put_longer, appends, erase_hit, erase_miss, restores,
+                bad_restores, deltas}) {
+    EXPECT_GT(n, 0);
+  }
 }
 
 // --- end-to-end on the replicated stack -------------------------------------

@@ -1,7 +1,10 @@
-// Unit tests for the daemon substrate pieces: the reliable FIFO link layer
-// and the heartbeat failure detector.
+// Unit tests for the daemon substrate pieces: the reliable FIFO link layer,
+// the heartbeat failure detector and the heartbeat frame a daemon sends.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "gcs/daemon.hpp"
 #include "gcs/failure_detector.hpp"
 #include "gcs/reliable_link.hpp"
 
@@ -75,7 +78,7 @@ TEST_F(LinkFixture, NoDuplicateDeliveryDespiteRetransmissions) {
 }
 
 TEST_F(LinkFixture, RawFramesBypassReliability) {
-  link_a->send_raw(b, Bytes{7});
+  link_a->send_raw(b, ReliableLink::raw_frame(Bytes{7}));
   kernel.run();
   ASSERT_EQ(raw_b.size(), 1u);
   EXPECT_EQ(raw_b[0], a);
@@ -189,6 +192,47 @@ TEST_F(FdFixture, UnknownPeerNeverAlive) {
   auto fd = make({NodeId{1}});
   EXPECT_FALSE(fd->alive(NodeId{9}));
   fd->heartbeat_received(NodeId{9});  // ignored, no crash
+}
+
+// --- daemon heartbeats ----------------------------------------------------------
+
+// A daemon's heartbeat is the raw link frame around its u64 host id: u8 type
+// 3, u64 seq 0, u32 length 8, then the id — 21 bytes. The daemon builds it
+// once, and every peer gets that same buffer on every tick.
+TEST(DaemonHeartbeat, OnePrebuiltRawFrameGoesToEveryPeer) {
+  sim::Kernel kernel(1);
+  net::Network network(kernel);
+  std::vector<NodeId> hosts;
+  for (int i = 0; i < 3; ++i) hosts.push_back(network.add_host("h" + std::to_string(i)));
+  // Only the daemon on h2 runs; h0 and h1 record what reaches their port.
+  std::vector<net::Packet> got;
+  for (NodeId h : {hosts[0], hosts[1]}) {
+    network.bind(h, net::Port::kGcsDaemon,
+                 [&got](net::Packet&& p) { got.push_back(std::move(p)); });
+  }
+  Daemon daemon(kernel, network, ProcessId{100}, hosts[2], hosts);
+  daemon.boot();
+  // Three ticks (0, 20 and 40 ms), well before the silent peers are suspected.
+  kernel.run_until(calib::kDefaultHeartbeatInterval * 2 + msec(5));
+
+  const Bytes expected = {3, 0, 0, 0, 0, 0, 0, 0, 0,  // kRaw, seq 0
+                          8, 0, 0, 0,                 // inner length
+                          2, 0, 0, 0, 0, 0, 0, 0};    // host id of h2
+  std::vector<net::Packet> heartbeats;
+  for (auto& p : got) {
+    if (!p.payload.empty() && p.payload[0] == 3) heartbeats.push_back(std::move(p));
+  }
+  ASSERT_EQ(heartbeats.size(), 6u);  // 3 ticks x 2 peers
+  int to_h0 = 0;
+  for (const auto& p : heartbeats) {
+    EXPECT_EQ(p.payload, expected);
+    EXPECT_EQ(p.wire_bytes, 21u);
+    EXPECT_FALSE(p.counted);
+    EXPECT_EQ(p.src, hosts[2]);
+    EXPECT_EQ(p.payload.data(), heartbeats.front().payload.data());  // one buffer
+    if (p.dst == hosts[0]) ++to_h0;
+  }
+  EXPECT_EQ(to_h0, 3);
 }
 
 }  // namespace

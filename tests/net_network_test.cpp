@@ -77,6 +77,77 @@ TEST_F(NetFixture, SerializationQueuesBackToBack) {
   EXPECT_EQ(arrivals[1], msec(2));  // queued behind the first
 }
 
+// The per-pair serialization queue lives in a table that grows with the host
+// set: a host added after traffic must not reset an existing pair's queue.
+TEST_F(NetFixture, AddingAHostKeepsExistingSerializationQueues) {
+  std::vector<SimTime> arrivals;
+  network.bind(b, Port::kTcp, [&](Packet&&) { arrivals.push_back(kernel.now()); });
+  LinkParams link;
+  link.propagation = kTimeZero;
+  link.jitter_stddev = kTimeZero;
+  link.bandwidth_bytes_per_sec = 1e6;
+  network.set_link_params(a, b, link);
+  Packet first = make_packet(a, b);
+  first.wire_bytes = 1000;
+  network.send(std::move(first));
+
+  const NodeId c = network.add_host("c");
+  std::vector<Payload> got_c;
+  bind_collector(c, got_c);
+  Packet second = make_packet(a, b);
+  second.wire_bytes = 1000;
+  network.send(std::move(second));
+  network.send(make_packet(a, c));
+  kernel.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], msec(1));
+  EXPECT_EQ(arrivals[1], msec(2));  // still queued behind the first
+  EXPECT_EQ(got_c.size(), 1u);
+}
+
+// send() skips the override and partition lookups while none is set; the
+// first one set after fault-free traffic must still take effect.
+TEST_F(NetFixture, FaultsSetAfterTrafficStillApply) {
+  std::vector<Payload> got;
+  bind_collector(b, got);
+  network.send(make_packet(a, b));
+  kernel.run();
+  ASSERT_EQ(got.size(), 1u);
+
+  network.partition({a}, {b});
+  network.send(make_packet(a, b));
+  kernel.run();
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(network.totals().dropped_packets, 1u);
+
+  network.heal_partitions();
+  LinkParams lossy;
+  lossy.loss_probability = 1.0;
+  network.set_link_params(a, b, lossy);
+  network.send(make_packet(a, b));
+  kernel.run();
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(network.totals().dropped_packets, 2u);
+
+  network.set_link_params(a, b, LinkParams{});
+  network.send(make_packet(a, b));
+  kernel.run();
+  EXPECT_EQ(got.size(), 2u);
+}
+
+TEST_F(NetFixture, UnboundPortDropsAndRebindDelivers) {
+  std::vector<Payload> got;
+  bind_collector(b, got);
+  network.unbind(b, Port::kTcp);
+  network.send(make_packet(a, b));
+  kernel.run();
+  EXPECT_TRUE(got.empty());
+  bind_collector(b, got);
+  network.send(make_packet(a, b));
+  kernel.run();
+  EXPECT_EQ(got.size(), 1u);
+}
+
 TEST_F(NetFixture, LoopbackIsFreeAndUncounted) {
   std::vector<Payload> got;
   bind_collector(a, got);

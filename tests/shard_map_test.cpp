@@ -200,6 +200,83 @@ TEST(ShardServantTest, FencesStaleRoutesAndFrozenRanges) {
             ShardStatus::kFrozen);
 }
 
+// state_size() reads the store's size counter and sizes the control state
+// without encoding it. Through a seeded mix of data operations, migrations
+// (which change the control state), restores and deltas, it must stay equal
+// to the snapshot's two parts. The snapshot also carries a u32 length prefix
+// in front of each part, which the checkpoint cost model does not count.
+TEST(ShardServantTest, StateSizeTracksSnapshotThroughSeededMix) {
+  constexpr std::size_t kPartPrefixes = 4 + 4;
+  const std::vector<KeyRange> all = {{0u, 0xffffffffu}};
+  Rng rng(23);
+  ShardServant shard(ShardServant::Config{}, all, 1);
+  ShardServant donor(ShardServant::Config{}, all, 1);
+  std::uint64_t donor_cut = donor.cut_epoch();
+  auto pick_key = [&rng] { return "k" + std::to_string(rng.below(40)); };
+  auto pick_value = [&rng] {
+    return std::string(rng.below(24), static_cast<char>('a' + rng.below(26)));
+  };
+  auto data = [](ShardServant& s, const std::string& op, const std::string& key,
+                 const std::string* value) {
+    return ShardServant::decode_data_reply(
+               s.invoke(op, ShardServant::encode_data_args(1, key, value)).output)
+        .status;
+  };
+  auto control_status = [](const ShardServant::Result& r) {
+    orb::CdrReader cr(r.output);
+    return static_cast<ShardStatus>(cr.ulong());
+  };
+  std::uint64_t migration = 0;
+  int writes = 0, erases = 0, migrations = 0, restores = 0, deltas = 0;
+  for (int step = 0; step < 1000; ++step) {
+    const std::string donor_key = pick_key();
+    const std::string donor_value = pick_value();
+    (void)data(donor, rng.chance(0.2) ? "erase" : "put", donor_key, &donor_value);
+
+    const std::uint64_t op = rng.below(100);
+    const std::string key = pick_key();
+    const std::string value = pick_value();
+    if (op < 35) {
+      if (data(shard, "put", key, &value) == ShardStatus::kOk) ++writes;
+    } else if (op < 55) {
+      if (data(shard, "append", key, &value) == ShardStatus::kOk) ++writes;
+    } else if (op < 80) {
+      if (data(shard, "erase", key, nullptr) == ShardStatus::kOk) ++erases;
+    } else if (op < 86) {
+      // Freeze a slice of an owned range, then release it: the done set
+      // grows, ownership splits and the range's keys leave the store.
+      const KeyRange owned = shard.owned_ranges().front();
+      orb::CdrWriter freeze;
+      freeze.ulonglong(++migration);
+      freeze.ulong(owned.lo);
+      freeze.ulong(owned.lo + (owned.hi - owned.lo) / 8);
+      freeze.ulonglong(shard.fence_epoch() + 1);
+      freeze.ulonglong(99);
+      if (control_status(shard.invoke("shard.freeze", std::move(freeze).take())) ==
+          ShardStatus::kOk) {
+        ASSERT_EQ(shard.state_size() + kPartPrefixes, shard.snapshot().size());
+        orb::CdrWriter release;
+        release.ulonglong(migration);
+        ASSERT_EQ(control_status(shard.invoke("shard.release", std::move(release).take())),
+                  ShardStatus::kOk);
+        ++migrations;
+      }
+    } else if (op < 92) {
+      shard.restore(donor.snapshot());
+      ++restores;
+    } else {
+      const auto delta = donor.snapshot_delta(donor_cut);
+      ASSERT_TRUE(delta.has_value());
+      donor_cut = donor.cut_epoch();
+      shard.apply_delta(*delta);
+      ++deltas;
+    }
+    ASSERT_EQ(shard.store().state_size(), shard.store().snapshot().size()) << "step " << step;
+    ASSERT_EQ(shard.state_size() + kPartPrefixes, shard.snapshot().size()) << "step " << step;
+  }
+  for (int n : {writes, erases, migrations, restores, deltas}) EXPECT_GT(n, 0);
+}
+
 // Directory-side fencing: a commit must continue the epoch chain exactly;
 // anything else is kStaleEpoch and the map in force does not change.
 TEST(DirectoryServantTest, CommitRequiresNextEpoch) {
